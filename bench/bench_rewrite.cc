@@ -444,9 +444,9 @@ std::string RenderAnswer(const OemDatabase& db) {
 }
 
 void BM_EvalTree(benchmark::State& state) {
-  // The tree-walking baseline: per-plan Evaluate over the materialized
-  // view results, exactly what Mediator::Execute does on the kTree
-  // backend after view execution.
+  // The tree-walking baseline: per-plan Evaluate (the src/eval oracle)
+  // over the materialized view results, what Mediator::Execute did after
+  // view execution before the IR became its only engine.
   const int k = static_cast<int>(state.range(0));
   PlanSetWorkload w = MakePlanSetWorkload(k);
   for (auto _ : state) {
@@ -466,10 +466,9 @@ void BM_EvalIR(benchmark::State& state) {
   // Pass ablation: arg 0 = no passes, 1 = +hoist, 2 = +CSE, 3 = +copy
   // elision (the shipped default stack). k is pinned to the 2^7-plan
   // CL-EXP-CAND workload the CI speedup gate reads. Compilation sits
-  // outside the timed region — the mediator compiles once per cached plan
-  // set and re-executes the program per request, so steady-state
-  // execution is the honest comparison (`plan.compile` span cost is
-  // reported separately in EXPERIMENTS.md).
+  // outside the timed region: this row isolates the interpreter against
+  // the tree walker, and the `plan.compile` span cost (which the mediator
+  // now pays per execution) is reported separately in EXPERIMENTS.md.
   const int level = static_cast<int>(state.range(0));
   const int k = 7;
   PlanSetWorkload w = MakePlanSetWorkload(k);

@@ -7,7 +7,13 @@
 
 namespace tslrw {
 
-uint64_t ViewIdentityFingerprint(const Capability& capability) {
+bool CapabilityIdentity::Describes(const Capability& capability) const {
+  return view.name == capability.view.name && view == capability.view &&
+         bound_variables == capability.bound_variables;
+}
+
+std::shared_ptr<const CapabilityIdentity> ComputeCapabilityIdentity(
+    const Capability& capability) {
   std::map<Term, Term> renaming;
   const CanonicalForm canon = CanonicalizeQuery(capability.view, &renaming);
   // Translate each bound-variable name into the canonical alphabet so the
@@ -26,13 +32,30 @@ uint64_t ViewIdentityFingerprint(const Capability& capability) {
     }
     if (!found) bound_missing = true;
   }
-  std::string identity = StrCat("view:", capability.view.name, "\n",
-                                canon.key, "\n");
+  auto identity = std::make_shared<CapabilityIdentity>();
+  identity->view = capability.view;
+  identity->bound_variables = capability.bound_variables;
+  identity->text = StrCat("view:", capability.view.name, "\n", canon.key,
+                          "\n");
   for (const std::string& name : bound_canonical) {
-    identity += StrCat("bound:", name, "\n");
+    identity->text += StrCat("bound:", name, "\n");
   }
-  if (bound_missing) identity += "bound-missing\n";
-  return StableFingerprint(identity);
+  if (bound_missing) identity->text += "bound-missing\n";
+  identity->fingerprint = StableFingerprint(identity->text);
+  return identity;
+}
+
+std::shared_ptr<const CapabilityIdentity> IdentityOf(
+    const Capability& capability) {
+  if (capability.identity != nullptr &&
+      capability.identity->Describes(capability)) {
+    return capability.identity;
+  }
+  return ComputeCapabilityIdentity(capability);
+}
+
+uint64_t ViewIdentityFingerprint(const Capability& capability) {
+  return IdentityOf(capability)->fingerprint;
 }
 
 }  // namespace tslrw

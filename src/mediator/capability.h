@@ -2,6 +2,7 @@
 #define TSLRW_MEDIATOR_CAPABILITY_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,6 +11,8 @@
 #include "tsl/ast.h"
 
 namespace tslrw {
+
+struct CapabilityIdentity;
 
 /// \brief One query template a source can answer, described as a view over
 /// its data (\S1: "the different and limited query capabilities of the
@@ -28,7 +31,34 @@ struct Capability {
   /// mediator before the source will accept the query (binding-pattern
   /// adornment). Empty for plain views.
   std::set<std::string> bound_variables;
+  /// Computed once by Mediator::Make; read through IdentityOf, which
+  /// recomputes a missing or stale (view edited since) identity.
+  std::shared_ptr<const CapabilityIdentity> identity = {};
 };
+
+/// \brief The α-invariant identity of one capability, with the exact rule
+/// and bindings it was computed from (so a stale copy is detected).
+struct CapabilityIdentity {
+  TslQuery view;
+  std::set<std::string> bound_variables;
+  /// `view:<name>`, the canonical rule and the canonically renamed bound
+  /// variables, one per line: equal texts denote the same name over
+  /// α-equivalent rules with the same bindings.
+  std::string text;
+  uint64_t fingerprint = 0;  ///< StableFingerprint(text)
+
+  /// Computed from exactly \p capability's view (name too) and bindings.
+  bool Describes(const Capability& capability) const;
+};
+
+/// \brief Computes \p capability's identity (canonicalizes the view).
+std::shared_ptr<const CapabilityIdentity> ComputeCapabilityIdentity(
+    const Capability& capability);
+
+/// \brief The stored identity when it still describes \p capability, else
+/// a freshly computed one.
+std::shared_ptr<const CapabilityIdentity> IdentityOf(
+    const Capability& capability);
 
 /// \brief The description of a wrapped source: where its data lives and the
 /// query templates its interface supports (Fig. 2's "capabilities" input).
@@ -51,7 +81,7 @@ Status ValidateDescriptions(const std::vector<SourceDescription>& sources);
 /// excluded: a capability's contribution to a plan search depends only on
 /// its rule (conditions are keyed by view name), so catalog diffing over
 /// these fingerprints invalidates nothing when a view merely moves between
-/// source descriptions.
+/// source descriptions. Reads the stored identity when it is current.
 uint64_t ViewIdentityFingerprint(const Capability& capability);
 
 }  // namespace tslrw

@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "common/string_util.h"
-#include "eval/evaluator.h"
 #include "ir/compiler.h"
 #include "ir/interp.h"
 #include "obs/metrics.h"
@@ -128,6 +127,14 @@ Result<Mediator> Mediator::Make(std::vector<SourceDescription> sources,
     return Status::IllFormedQuery(
         StrCat("capability views failed analysis:\n", report.ToString()));
   }
+  // Each capability's identity is computed once here: fingerprints for
+  // plan footprints and catalog diffs, and the extent-memo key every fetch
+  // uses, then read it instead of re-canonicalizing the view.
+  for (SourceDescription& sd : sources) {
+    for (Capability& cap : sd.capabilities) {
+      cap.identity = ComputeCapabilityIdentity(cap);
+    }
+  }
   Mediator mediator(std::move(sources), constraints, std::move(report));
   mediator.hedge_partners_ = ComputeHedgePartners(mediator.sources_);
   return mediator;
@@ -151,35 +158,32 @@ Status Mediator::AttachCatalogIndex(
   // The index's stored chase outcomes are only exact for the (views,
   // constraints) pair it was compiled under; refuse anything else rather
   // than serve plans from stale structure.
-  TSLRW_RETURN_NOT_OK(index->ValidateAgainst(AllViews(), constraints_));
+  TSLRW_RETURN_NOT_OK(index->ValidateAgainst(Views(), constraints_));
   catalog_index_ = std::move(index);
   return Status::OK();
 }
 
-std::vector<TslQuery> Mediator::AllViews() const {
+std::vector<TslQuery> Mediator::Views(
+    const std::set<std::string>& excluded) const {
   std::vector<TslQuery> views;
   for (const SourceDescription& sd : sources_) {
-    for (const Capability& cap : sd.capabilities) views.push_back(cap.view);
+    for (const Capability& cap : sd.capabilities) {
+      if (excluded.count(cap.view.name) == 0) views.push_back(cap.view);
+    }
   }
   return views;
 }
 
-const Capability* Mediator::FindCapability(const std::string& name) const {
+const Capability* Mediator::FindCapability(const std::string& name,
+                                           std::string* source) const {
   for (const SourceDescription& sd : sources_) {
     for (const Capability& cap : sd.capabilities) {
-      if (cap.view.name == name) return &cap;
+      if (cap.view.name != name) continue;
+      if (source != nullptr) *source = sd.source;
+      return &cap;
     }
   }
   return nullptr;
-}
-
-std::string Mediator::SourceOfView(const std::string& name) const {
-  for (const SourceDescription& sd : sources_) {
-    for (const Capability& cap : sd.capabilities) {
-      if (cap.view.name == name) return sd.source;
-    }
-  }
-  return "";
 }
 
 std::vector<std::string> Mediator::SourcesOfViews(
@@ -335,20 +339,20 @@ Result<MediatorPlanSet> Mediator::Plan(const TslQuery& query,
                                        MetricRegistry* metrics,
                                        const VirtualClock* deadline_clock,
                                        uint64_t deadline_ticks) const {
-  RewriteOptions options;
-  options.constraints = constraints_;
-  options.parallelism = rewrite_parallelism;
-  options.tracer = tracer;
-  options.metrics = metrics;
-  options.view_index = catalog_index_.get();
-  if (deadline_clock != nullptr && deadline_ticks > 0) {
-    options.should_stop = [deadline_clock, deadline_ticks] {
-      return deadline_clock->now() >= deadline_ticks;
-    };
-  }
-  ScopedSpan span(tracer, "mediator.plan_search");
-  CountIf(metrics, "mediator.plan_searches");
-  Result<MediatorPlanSet> set = PlanOverViews(query, AllViews(), options);
+  ExecutionPolicy policy;
+  policy.rewrite_parallelism = rewrite_parallelism;
+  policy.tracer = tracer;
+  policy.metrics = metrics;
+  return SearchPlans(
+      query, PlanningOptions(policy, deadline_clock,
+                             deadline_clock != nullptr ? deadline_ticks : 0));
+}
+
+Result<MediatorPlanSet> Mediator::SearchPlans(
+    const TslQuery& query, const RewriteOptions& options) const {
+  ScopedSpan span(options.tracer, "mediator.plan_search");
+  CountIf(options.metrics, "mediator.plan_searches");
+  Result<MediatorPlanSet> set = PlanOverViews(query, Views(), options);
   if (set.ok()) {
     span.Annotate("plans", static_cast<uint64_t>(set->size()));
     span.Annotate("truncated", set->truncated ? "true" : "false");
@@ -384,36 +388,30 @@ uint64_t EffectiveDeadline(const ExecutionPolicy& policy,
 
 }  // namespace
 
-void Mediator::InitContext(const ExecutionPolicy& policy, ExecContext* ctx) {
-  ctx->retry = &policy.retry;
-  ctx->deadline_ticks = EffectiveDeadline(policy, ctx->clock);
-  ctx->tracer = policy.tracer;
-  ctx->metrics = policy.metrics;
-  ctx->resilience = policy.resilience;
-  ctx->degrade_on_deadline = policy.degrade_on_deadline &&
-                             policy.allow_degraded;
-  ctx->backend = policy.backend;
-}
-
-Result<WrapperResult> Mediator::HedgeFetch(const Capability& partner,
-                                           const std::string& primary_view,
-                                           const SourceCatalog& catalog,
-                                           const ExecContext& ctx) const {
-  Result<WrapperResult> fetched = ctx.wrapper->Fetch(partner, catalog);
-  if (fetched.ok()) {
-    // Partner views are α-equivalent over the same source, so the
-    // materialized bytes are the answer's either way; evaluation looks the
-    // data up under the primary view's name.
-    fetched->data.set_name(primary_view);
-  }
-  return fetched;
+Mediator::ExecFrame::ExecFrame(const ExecutionPolicy& policy,
+                               ExecutionReport* report,
+                               const std::string& answer_name)
+    : catalog_wrapper(policy.metrics), rng(policy.seed) {
+  ctx.wrapper = policy.wrapper != nullptr ? policy.wrapper : &catalog_wrapper;
+  ctx.clock = policy.clock != nullptr ? policy.clock : &local_clock;
+  ctx.rng = &rng;
+  ctx.report = report != nullptr ? report : &local_report;
+  ctx.answer_name = answer_name.empty() ? "answer" : answer_name;
+  ctx.retry = &policy.retry;
+  ctx.deadline_ticks = EffectiveDeadline(policy, ctx.clock);
+  ctx.tracer = policy.tracer;
+  ctx.metrics = policy.metrics;
+  ctx.resilience = policy.resilience;
+  ctx.degrade_on_deadline = policy.degrade_on_deadline &&
+                            policy.allow_degraded;
 }
 
 Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
                                                const SourceCatalog& catalog,
                                                const ExecContext& ctx) const {
   const std::string& view_name = capability.view.name;
-  const std::string source = SourceOfView(view_name);
+  std::string source;
+  FindCapability(view_name, &source);
   FetchRecord* record = ctx.report->RecordFor(source, view_name);
   ScopedSpan fetch_span(ctx.tracer, "mediator.fetch");
   fetch_span.Annotate("view", view_name);
@@ -459,6 +457,19 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
     }
   }
 
+  // A reply that arrived after the caller stopped listening is a timeout,
+  // not a success, however complete the data was.
+  auto call_outcome = [&ctx](const Result<WrapperResult>& reply,
+                            uint64_t elapsed, const char* what,
+                            const std::string& name) {
+    const uint64_t limit = ctx.retry->per_call_deadline_ticks;
+    if (!reply.ok()) return reply.status();
+    if (limit == 0 || elapsed <= limit) return Status::OK();
+    return Status::DeadlineExceeded(
+        StrCat(what, name, " took ", elapsed,
+               " tick(s); the per-call deadline is ", limit));
+  };
+
   // Hedge eligibility: enabled, and this view has α-equivalent replica
   // endpoints to fail over to. At most one backup per fetch.
   const std::vector<std::string>* partners = nullptr;
@@ -490,16 +501,7 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
     if (attempt > 1) CountIf(ctx.metrics, "mediator.retries");
     Result<WrapperResult> fetched = ctx.wrapper->Fetch(capability, catalog);
     const uint64_t elapsed = ctx.clock->now() - started;
-    Status outcome = fetched.ok() ? Status::OK() : fetched.status();
-    if (outcome.ok() && ctx.retry->per_call_deadline_ticks > 0 &&
-        elapsed > ctx.retry->per_call_deadline_ticks) {
-      // The reply arrived after the caller stopped listening: a timeout,
-      // not a success, however complete the data was.
-      outcome = Status::DeadlineExceeded(
-          StrCat("view ", view_name, " took ", elapsed,
-                 " tick(s); the per-call deadline is ",
-                 ctx.retry->per_call_deadline_ticks));
-    }
+    Status outcome = call_outcome(fetched, elapsed, "view ", view_name);
     record->attempts.push_back(AttemptRecord{started, outcome, 0});
     fetch_span.Event(StrCat("attempt ", attempt, ": ",
                             outcome.ok()
@@ -535,17 +537,15 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
                                 hedge_delay, ")"));
         CountIf(ctx.metrics, "mediator.hedges_issued");
         const uint64_t backup_started = ctx.clock->now();
-        Result<WrapperResult> backup =
-            HedgeFetch(*partner_cap, view_name, catalog, ctx);
+        Result<WrapperResult> backup = ctx.wrapper->Fetch(*partner_cap,
+                                                          catalog);
+        // Partner views are α-equivalent over the same source, so the
+        // materialized bytes are the answer's either way; evaluation looks
+        // the data up under the primary view's name.
+        if (backup.ok()) backup->data.set_name(view_name);
         const uint64_t backup_elapsed = ctx.clock->now() - backup_started;
-        Status backup_outcome = backup.ok() ? Status::OK() : backup.status();
-        if (backup_outcome.ok() && ctx.retry->per_call_deadline_ticks > 0 &&
-            backup_elapsed > ctx.retry->per_call_deadline_ticks) {
-          backup_outcome = Status::DeadlineExceeded(
-              StrCat("hedge to view ", partner_name, " took ",
-                     backup_elapsed, " tick(s); the per-call deadline is ",
-                     ctx.retry->per_call_deadline_ticks));
-        }
+        const Status backup_outcome = call_outcome(
+            backup, backup_elapsed, "hedge to view ", partner_name);
         FetchRecord* partner_record =
             ctx.report->RecordFor(source, partner_name);
         // RecordFor may grow the fetches vector; the primary's record
@@ -560,42 +560,28 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
         // issued at `hedge_delay` and completed at hedge_delay + its own
         // latency; the race resolves on those, ties to the primary.
         const uint64_t backup_done = hedge_delay + backup_elapsed;
-        uint64_t completion;  // modeled end of the whole hedged fetch
-        bool backup_wins;
-        if (outcome.ok() && backup_outcome.ok()) {
-          backup_wins = backup_done < elapsed;
-          completion = std::min(elapsed, backup_done);
-        } else if (outcome.ok()) {
-          backup_wins = false;
-          completion = elapsed;
-        } else if (backup_outcome.ok()) {
-          backup_wins = true;
-          completion = backup_done;
-        } else {
-          backup_wins = false;
+        const bool backup_wins =
+            backup_outcome.ok() && (!outcome.ok() || backup_done < elapsed);
+        // The modeled end of the whole hedged fetch: the winning reply, or
+        // the later failure when neither succeeded. The clock ran primary +
+        // backup back to back; credit back the ticks where they would have
+        // overlapped.
+        uint64_t completion = backup_wins ? backup_done : elapsed;
+        if (!outcome.ok() && !backup_outcome.ok()) {
           completion = std::max(elapsed, backup_done);
         }
-        // The clock ran primary + backup back to back; credit back the
-        // ticks where they would have overlapped.
         ctx.report->hedge_overlap_ticks +=
             (elapsed + backup_elapsed) - completion;
         if (backup_wins) {
           ++ctx.report->hedge_wins;
-          record->succeeded = true;
-          record->truncated = record->truncated || !backup->complete;
           record->hedged_to = partner_name;
           fetch_span.Event(StrCat("hedge won: ", partner_name));
           CountIf(ctx.metrics, "mediator.hedge_wins");
-          if (!backup->complete) {
-            fetch_span.Annotate("truncated", "true");
-            CountIf(ctx.metrics, "mediator.fetches_truncated");
-          }
-          CountIf(ctx.metrics, "mediator.fetches_ok");
-          ObserveIf(ctx.metrics, "mediator.fetch_attempts_per_call",
-                    attempt);
-          return backup;
+          fetched = std::move(backup);
+          outcome = backup_outcome;
+        } else {
+          fetch_span.Event("hedge lost");
         }
-        fetch_span.Event("hedge lost");
       }
     }
 
@@ -661,41 +647,28 @@ Result<Mediator::PlanExecution> Mediator::RunPlan(
   }
   // Collect + consolidate at the mediator: evaluate the rewriting over the
   // wrapper results (fusion merges per-source fragments by oid).
-  if (ctx.backend == ExecutionBackend::kIR) {
-    TSLRW_ASSIGN_OR_RETURN(std::shared_ptr<const IrProgram> program,
-                           CompiledProgramFor(plan, ctx));
-    ScopedSpan exec_span(ctx.tracer, "plan.exec_ir");
-    exec_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
-    IrExecOptions ir;
-    ir.answer_name = ctx.answer_name;
-    ir.metrics = ctx.metrics;
-    TSLRW_ASSIGN_OR_RETURN(exec.answer,
-                           ExecuteIr(*program, view_results, ir));
-    return exec;
-  }
-  EvalOptions eval;
-  eval.answer_name = ctx.answer_name;
-  eval.metrics = ctx.metrics;
-  eval.tracer = ctx.tracer;
-  TSLRW_ASSIGN_OR_RETURN(exec.answer,
-                         Evaluate(plan.rewriting, view_results, eval));
+  TSLRW_ASSIGN_OR_RETURN(
+      exec.answer,
+      ExecuteRules(TslRuleSet::Single(plan.rewriting), view_results, ctx));
   return exec;
 }
 
-Result<std::shared_ptr<const IrProgram>> Mediator::CompiledProgramFor(
-    const MediatorPlan& plan, const ExecContext& ctx) const {
-  std::lock_guard<std::mutex> lock(plan.compiled->mu);
-  if (plan.compiled->program != nullptr) {
-    CountIf(ctx.metrics, "ir.plan_cache_hits");
-    return plan.compiled->program;
+Result<OemDatabase> Mediator::ExecuteRules(const TslRuleSet& rules,
+                                           const SourceCatalog& view_results,
+                                           const ExecContext& ctx) {
+  std::shared_ptr<const IrProgram> program;
+  {
+    ScopedSpan compile_span(ctx.tracer, "plan.compile");
+    PlanCompiler compiler(IrPassOptions{}, ctx.metrics);
+    TSLRW_ASSIGN_OR_RETURN(program, compiler.Compile(rules));
+    compile_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
   }
-  ScopedSpan compile_span(ctx.tracer, "plan.compile");
-  PlanCompiler compiler(IrPassOptions{}, ctx.metrics);
-  TSLRW_ASSIGN_OR_RETURN(plan.compiled->program,
-                         compiler.Compile(plan.rewriting));
-  compile_span.Annotate(
-      "ops", static_cast<uint64_t>(plan.compiled->program->ops.size()));
-  return plan.compiled->program;
+  ScopedSpan exec_span(ctx.tracer, "plan.exec_ir");
+  exec_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
+  IrExecOptions ir;
+  ir.answer_name = ctx.answer_name;
+  ir.metrics = ctx.metrics;
+  return ExecuteIr(*program, view_results, ir);
 }
 
 Result<OemDatabase> Mediator::Execute(const MediatorPlan& plan,
@@ -707,18 +680,8 @@ Result<OemDatabase> Mediator::Execute(const MediatorPlan& plan,
                                       const SourceCatalog& catalog,
                                       const ExecutionPolicy& policy,
                                       ExecutionReport* report) const {
-  CatalogWrapper catalog_wrapper;
-  VirtualClock local_clock;
-  DeterministicRng rng(policy.seed);
-  ExecutionReport local_report;
-  ExecContext ctx;
-  ctx.wrapper = policy.wrapper != nullptr ? policy.wrapper : &catalog_wrapper;
-  ctx.clock = policy.clock != nullptr ? policy.clock : &local_clock;
-  ctx.rng = &rng;
-  ctx.report = report != nullptr ? report : &local_report;
-  ctx.answer_name = plan.rewriting.name.empty() ? "answer"
-                                                : plan.rewriting.name;
-  InitContext(policy, &ctx);
+  ExecFrame frame(policy, report, plan.rewriting.name);
+  const ExecContext& ctx = frame.ctx;
   ++ctx.report->plans_attempted;
   CountIf(ctx.metrics, "mediator.plans_attempted");
   std::string failed_source;
@@ -754,41 +717,27 @@ RewriteOptions Mediator::PlanningOptions(const ExecutionPolicy& policy,
 Result<DegradedAnswer> Mediator::Answer(const TslQuery& query,
                                         const SourceCatalog& catalog,
                                         const ExecutionPolicy& policy) const {
-  // The local clock must span both planning and execution so a per-query
-  // deadline covers the whole Answer, as before the Plan/Execute split.
-  // (The clock only advances on backoff waits and slow-source faults, so
-  // recomputing the deadline in AnswerWithPlans lands on the same tick.)
+  // One clock spans planning and execution, so a per-query deadline covers
+  // the whole Answer (it only advances on backoff waits and slow-source
+  // faults, so AnswerWithPlans recomputes the same deadline tick).
   VirtualClock local_clock;
   ExecutionPolicy effective = policy;
   if (effective.clock == nullptr) effective.clock = &local_clock;
-  const uint64_t deadline_ticks =
-      EffectiveDeadline(effective, effective.clock);
-  RewriteOptions plan_options =
-      PlanningOptions(effective, effective.clock, deadline_ticks);
-  ScopedSpan plan_span(effective.tracer, "mediator.plan_search");
-  CountIf(effective.metrics, "mediator.plan_searches");
-  TSLRW_ASSIGN_OR_RETURN(MediatorPlanSet plans,
-                         PlanOverViews(query, AllViews(), plan_options));
-  plan_span.Annotate("plans", static_cast<uint64_t>(plans.size()));
-  plan_span.Annotate("truncated", plans.truncated ? "true" : "false");
-  plan_span.EndNow();
+  TSLRW_ASSIGN_OR_RETURN(
+      MediatorPlanSet plans,
+      SearchPlans(query,
+                  PlanningOptions(effective, effective.clock,
+                                  EffectiveDeadline(effective,
+                                                    effective.clock))));
   return AnswerWithPlans(query, plans, catalog, effective);
 }
 
 Result<DegradedAnswer> Mediator::AnswerWithPlans(
     const TslQuery& query, const MediatorPlanSet& plans,
     const SourceCatalog& catalog, const ExecutionPolicy& policy) const {
-  CatalogWrapper catalog_wrapper;
-  VirtualClock local_clock;
-  DeterministicRng rng(policy.seed);
-  ExecutionReport report;
-  ExecContext ctx;
-  ctx.wrapper = policy.wrapper != nullptr ? policy.wrapper : &catalog_wrapper;
-  ctx.clock = policy.clock != nullptr ? policy.clock : &local_clock;
-  ctx.rng = &rng;
-  ctx.report = &report;
-  ctx.answer_name = query.name.empty() ? "answer" : query.name;
-  InitContext(policy, &ctx);
+  ExecFrame frame(policy, nullptr, query.name);
+  const ExecContext& ctx = frame.ctx;
+  ExecutionReport& report = frame.local_report;
   ScopedSpan answer_span(ctx.tracer, "mediator.answer");
   answer_span.Annotate("plans", static_cast<uint64_t>(plans.size()));
   CountIf(ctx.metrics, "mediator.answers");
@@ -909,12 +858,7 @@ Result<DegradedAnswer> Mediator::AnswerWithPlans(
   // truncated first search this can surface plans never enumerated; it is
   // also the natural point to notice nothing total is left.
   if (!answered.has_value() && !deadline_hit && !dead.empty()) {
-    std::vector<TslQuery> live_views;
-    for (const SourceDescription& sd : sources_) {
-      for (const Capability& cap : sd.capabilities) {
-        if (dead.count(cap.view.name) == 0) live_views.push_back(cap.view);
-      }
-    }
+    const std::vector<TslQuery> live_views = Views(dead);
     if (!live_views.empty()) {
       report.replanned = true;
       CountIf(ctx.metrics, "mediator.replans");
@@ -984,12 +928,7 @@ Result<DegradedAnswer> Mediator::DegradedFallback(
   // of nothing.
   ScopedSpan degraded_span(ctx.tracer, "mediator.degraded_fallback");
   CountIf(ctx.metrics, "mediator.degraded_fallbacks");
-  std::vector<TslQuery> live_views;
-  for (const SourceDescription& sd : sources_) {
-    for (const Capability& cap : sd.capabilities) {
-      if (dead.count(cap.view.name) == 0) live_views.push_back(cap.view);
-    }
-  }
+  const std::vector<TslQuery> live_views = Views(dead);
   ContainedRewritingResult contained;
   if (!live_views.empty()) {
     RewriteOptions options;
@@ -1055,31 +994,8 @@ Result<DegradedAnswer> Mediator::DegradedFallback(
 
   OemDatabase result(ctx.answer_name);
   if (!live_rules.rules.empty()) {
-    if (ctx.backend == ExecutionBackend::kIR) {
-      // Degraded rule sets depend on which views died, so they are compiled
-      // per execution rather than cached on a plan.
-      std::shared_ptr<const IrProgram> program;
-      {
-        ScopedSpan compile_span(ctx.tracer, "plan.compile");
-        PlanCompiler compiler(IrPassOptions{}, ctx.metrics);
-        TSLRW_ASSIGN_OR_RETURN(program, compiler.Compile(live_rules));
-        compile_span.Annotate("ops",
-                              static_cast<uint64_t>(program->ops.size()));
-      }
-      ScopedSpan exec_span(ctx.tracer, "plan.exec_ir");
-      exec_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
-      IrExecOptions ir;
-      ir.answer_name = ctx.answer_name;
-      ir.metrics = ctx.metrics;
-      TSLRW_ASSIGN_OR_RETURN(result, ExecuteIr(*program, view_results, ir));
-    } else {
-      EvalOptions eval;
-      eval.answer_name = ctx.answer_name;
-      eval.metrics = ctx.metrics;
-      eval.tracer = ctx.tracer;
-      TSLRW_ASSIGN_OR_RETURN(result,
-                             EvaluateRuleSet(live_rules, view_results, eval));
-    }
+    TSLRW_ASSIGN_OR_RETURN(result,
+                           ExecuteRules(live_rules, view_results, ctx));
   }
   DegradedAnswer answer;
   answer.result = std::move(result);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,27 +23,6 @@
 
 namespace tslrw {
 
-struct IrProgram;
-
-/// \brief Which backend evaluates rewritten plans (and the degraded
-/// fallback's rule sets): the original tree walker (src/eval) or the
-/// compiled flat-IR interpreter (src/ir). Answers are byte-identical —
-/// same graph, same roots, same degraded semantics under faults
-/// (docs/IR.md) — only the work done differs.
-enum class ExecutionBackend {
-  kTree,
-  kIR,
-};
-
-/// \brief Lazily compiled IR for one plan. Copies of a MediatorPlan share
-/// the slot (shared_ptr), so the serving layer's plan cache compiles each
-/// cached plan at most once across all requests that replay it, and the
-/// compiled program dies with the cached plan set (invalidated together).
-struct CompiledPlanSlot {
-  std::mutex mu;
-  std::shared_ptr<const IrProgram> program;
-};
-
 /// \brief One executable plan produced by the capability-based rewriter: a
 /// total rewriting whose body conditions all refer to capability views, so
 /// every piece of work conforms to some source's interface (Fig. 2's
@@ -57,9 +35,6 @@ struct MediatorPlan {
   /// A crude cost estimate (Fig. 2's optimizer hook): the number of view
   /// accesses; plans are returned cheapest-first.
   size_t cost = 0;
-  /// ExecutionBackend::kIR compilation cache (see CompiledPlanSlot).
-  std::shared_ptr<CompiledPlanSlot> compiled =
-      std::make_shared<CompiledPlanSlot>();
 
   std::string ToString() const;
 };
@@ -142,14 +117,8 @@ struct ExecutionPolicy {
   uint64_t admission_deadline_ticks = 0;
   /// When the effective deadline expires mid-execution, fall into the §7
   /// degraded path (sound, possibly incomplete, possibly empty) instead of
-  /// failing with DeadlineExceeded. Requires `allow_degraded`; disable to
-  /// restore the PR 2 hard-error behavior.
+  /// failing with DeadlineExceeded. Requires `allow_degraded`.
   bool degrade_on_deadline = true;
-  /// How plan rewritings (and degraded-fallback rule sets) are evaluated
-  /// over the fetched view results. kIR compiles each plan once (cached on
-  /// the plan, so the serving layer's plan cache amortizes compilation) and
-  /// runs the flat-IR interpreter; answers are byte-identical to kTree.
-  ExecutionBackend backend = ExecutionBackend::kTree;
 };
 
 /// \brief A fault-tolerant answer: the consolidated result annotated with
@@ -315,7 +284,6 @@ class Mediator {
     MetricRegistry* metrics = nullptr; ///< may be null
     ResilienceRegistry* resilience = nullptr;  ///< may be null
     bool degrade_on_deadline = true;
-    ExecutionBackend backend = ExecutionBackend::kTree;
   };
 
   Mediator(std::vector<SourceDescription> sources,
@@ -324,12 +292,14 @@ class Mediator {
         constraints_(constraints),
         analysis_(std::move(analysis)) {}
 
-  /// All capability views across sources.
-  std::vector<TslQuery> AllViews() const;
-  /// The capability owning view \p name; nullptr if unknown.
-  const Capability* FindCapability(const std::string& name) const;
-  /// The source whose interface exports view \p name; empty if unknown.
-  std::string SourceOfView(const std::string& name) const;
+  /// The capability views across sources, minus those named in
+  /// \p excluded (the dead ones, when re-planning over live views).
+  std::vector<TslQuery> Views(const std::set<std::string>& excluded = {})
+      const;
+  /// The capability owning view \p name, and (into \p source, when given)
+  /// the source whose interface exports it; nullptr if unknown.
+  const Capability* FindCapability(const std::string& name,
+                                   std::string* source = nullptr) const;
   /// The sorted source names that are unreachable given the dead view set:
   /// a source is listed only when every capability view exporting it is
   /// dead (a replicated source with one live mirror still answers).
@@ -341,6 +311,10 @@ class Mediator {
   Result<MediatorPlanSet> PlanOverViews(const TslQuery& query,
                                         const std::vector<TslQuery>& views,
                                         const RewriteOptions& options) const;
+
+  /// PlanOverViews over every view under a `mediator.plan_search` span.
+  Result<MediatorPlanSet> SearchPlans(const TslQuery& query,
+                                      const RewriteOptions& options) const;
 
   /// Rewrite options for Answer-path plan searches: constraints, strict
   /// limits, and a should_stop hook wired to \p deadline_ticks on \p clock
@@ -357,10 +331,21 @@ class Mediator {
   static uint64_t EffectiveNow(const ExecContext& ctx);
   /// True when the effective per-request deadline has passed.
   static bool QueryDeadlineExceeded(const ExecContext& ctx);
-  /// Populates the context fields shared by Execute/AnswerWithPlans,
-  /// including the effective absolute deadline (the earlier of the retry
-  /// budget and the admission deadline).
-  static void InitContext(const ExecutionPolicy& policy, ExecContext* ctx);
+  /// One Execute/AnswerWithPlans call: defaults for what the policy leaves
+  /// null, and the context over them (its deadline is the earlier of the
+  /// retry budget and the admission deadline). The context points inside.
+  struct ExecFrame {
+    ExecFrame(const ExecutionPolicy& policy, ExecutionReport* report,
+              const std::string& answer_name);
+    ExecFrame(const ExecFrame&) = delete;
+    ExecFrame& operator=(const ExecFrame&) = delete;
+
+    CatalogWrapper catalog_wrapper;
+    VirtualClock local_clock;
+    DeterministicRng rng;
+    ExecutionReport local_report;
+    ExecContext ctx;
+  };
 
   /// One view fetch with retry/backoff/deadlines, circuit-breaker
   /// admission, and at most one hedged backup fetch; appends attempts to
@@ -370,23 +355,16 @@ class Mediator {
                                        const SourceCatalog& catalog,
                                        const ExecContext& ctx) const;
 
-  /// Issues the one-shot hedged backup fetch against \p partner and
-  /// returns its data renamed to \p primary_view (partner views are
-  /// α-equivalent, so the bytes are the answer's either way).
-  Result<WrapperResult> HedgeFetch(const Capability& partner,
-                                   const std::string& primary_view,
-                                   const SourceCatalog& catalog,
-                                   const ExecContext& ctx) const;
-
   struct PlanExecution {
     OemDatabase answer;
     bool any_truncated = false;
   };
-  /// The compiled IR for \p plan under ExecutionBackend::kIR: returns the
-  /// plan's cached program, compiling it (under a `plan.compile` span) on
-  /// first use. Thread-safe via the plan's CompiledPlanSlot mutex.
-  Result<std::shared_ptr<const IrProgram>> CompiledProgramFor(
-      const MediatorPlan& plan, const ExecContext& ctx) const;
+  /// Compiles \p rules to the IR (under a `plan.compile` span) and runs
+  /// them over the fetched \p view_results (under `plan.exec_ir`): the one
+  /// execution engine for plans and degraded rule sets alike.
+  static Result<OemDatabase> ExecuteRules(const TslRuleSet& rules,
+                                          const SourceCatalog& view_results,
+                                          const ExecContext& ctx);
 
   /// Fetches every view of \p plan and evaluates the rewriting. On failure
   /// \p failed_view names the capability view that could not be reached

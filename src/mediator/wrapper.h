@@ -3,6 +3,7 @@
 
 #include "common/result.h"
 #include "mediator/capability.h"
+#include "obs/metrics.h"
 #include "oem/database.h"
 
 namespace tslrw {
@@ -35,12 +36,23 @@ class Wrapper {
 };
 
 /// \brief The in-process default wrapper: "sends" the view to the source by
-/// materializing it over the catalog — the original synchronous behavior,
-/// now behind the seam.
+/// materializing it over the catalog with the IR interpreter, once per
+/// catalog generation: extents are memoized on the catalog
+/// (SourceCatalog::extent_memo) under the capability's identity, and each
+/// fetch returns a copy. Decorators such as FaultInjector still see every
+/// fetch and only ever alter their own copy.
 class CatalogWrapper : public Wrapper {
  public:
+  /// \param metrics optional sink (not owned) for
+  ///        `mediator.extent_memo_{hits,misses}` and materialization ir.*.
+  explicit CatalogWrapper(MetricRegistry* metrics = nullptr)
+      : metrics_(metrics) {}
+
   Result<WrapperResult> Fetch(const Capability& capability,
                               const SourceCatalog& catalog) override;
+
+ private:
+  MetricRegistry* metrics_;
 };
 
 }  // namespace tslrw

@@ -203,9 +203,40 @@ std::string OemDatabase::ToString() const {
   return out;
 }
 
+std::shared_ptr<const OemDatabase> ExtentMemo::Find(
+    uint64_t fingerprint, std::string_view identity) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(fingerprint);
+  if (it != entries_.end() && it->second.identity == identity) {
+    ++hits_;
+    return it->second.extent;
+  }
+  ++misses_;
+  return nullptr;
+}
+
+void ExtentMemo::Insert(uint64_t fingerprint, std::string_view identity,
+                        OemDatabase extent) {
+  Entry entry{std::string(identity),
+              std::make_shared<const OemDatabase>(std::move(extent))};
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_.try_emplace(fingerprint, std::move(entry));
+}
+
+ExtentMemo::Stats ExtentMemo::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Stats{entries_.size(), hits_, misses_};
+}
+
+std::string ExtentMemo::Stats::ToString() const {
+  return StrCat("extent memo: ", extents, " extent(s), ", hits, " hit(s), ",
+                misses, " miss(es) this catalog generation");
+}
+
 void SourceCatalog::Put(OemDatabase db) {
   std::string name = db.name();
   sources_.insert_or_assign(std::move(name), std::move(db));
+  extents_ = std::make_shared<ExtentMemo>();
 }
 
 Result<const OemDatabase*> SourceCatalog::Find(std::string_view name) const {

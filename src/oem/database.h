@@ -1,11 +1,15 @@
 #ifndef TSLRW_OEM_DATABASE_H_
 #define TSLRW_OEM_DATABASE_H_
 
+#include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -125,11 +129,55 @@ class OemDatabase {
   std::set<Oid> roots_;
 };
 
+/// \brief A thread-safe memo of extents (materialized views) derived from
+/// one SourceCatalog's exact contents: \S1's Lore scenario inside the
+/// mediator, answering a repeated capability query "from cached query
+/// statements without examining the source data". Entries are keyed by a
+/// 64-bit identity fingerprint and confirmed against the full identity
+/// text, so a fingerprint collision materializes afresh instead of serving
+/// a wrong extent. Memoized extents are immutable; callers copy them.
+class ExtentMemo {
+ public:
+  /// Counters since this memo (catalog generation) was created.
+  struct Stats {
+    size_t extents = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+
+    std::string ToString() const;
+  };
+
+  /// The extent memoized under (\p fingerprint, \p identity), counted as a
+  /// hit; null on a miss.
+  std::shared_ptr<const OemDatabase> Find(uint64_t fingerprint,
+                                          std::string_view identity);
+
+  /// Memoizes \p extent unless the slot is taken: when two callers miss on
+  /// one identity at once, both materialize and the first insert is kept
+  /// (the extents are equal); on a fingerprint collision the resident
+  /// identity keeps the slot.
+  void Insert(uint64_t fingerprint, std::string_view identity,
+              OemDatabase extent);
+
+  Stats stats() const;
+
+ private:
+  struct Entry {
+    std::string identity;
+    std::shared_ptr<const OemDatabase> extent;
+  };
+  mutable std::mutex mu_;
+  std::unordered_map<uint64_t, Entry> entries_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
 /// \brief A named collection of OEM sources: the mediator-side universe a
 /// TSL query's `@source` annotations resolve against.
 class SourceCatalog {
  public:
-  /// Adds or replaces a source under db.name().
+  /// Adds or replaces a source under db.name(), and starts a fresh extent
+  /// memo: extents of the old contents no longer describe this catalog.
   void Put(OemDatabase db);
 
   /// Looks up a source by name; NotFound if absent.
@@ -140,8 +188,14 @@ class SourceCatalog {
     return sources_;
   }
 
+  /// The extents derived from exactly these contents. Copies of a catalog
+  /// share one memo (their contents are equal until one of them is Put
+  /// to); null only for a moved-from catalog.
+  ExtentMemo* extent_memo() const { return extents_.get(); }
+
  private:
   std::map<std::string, OemDatabase, std::less<>> sources_;
+  std::shared_ptr<ExtentMemo> extents_ = std::make_shared<ExtentMemo>();
 };
 
 }  // namespace tslrw

@@ -52,19 +52,37 @@ Status ThreadPool::TrySubmit(std::function<void()> task) {
       submitted_metric_->Increment();
       depth_at_admit_metric_->Observe(queue_.size());
     }
-    queue_.push_back(std::move(task));
+    queue_.push_back(Task{std::move(task)});
     if (queue_depth_metric_ != nullptr) {
       queue_depth_metric_->Set(static_cast<int64_t>(queue_.size()));
     }
-    // Lazy spawning: start another worker only when every started worker
-    // is busy and the cap allows it. Eager pools start saturated
-    // (workers_.size() == max_threads_), so this never fires for them.
-    if (workers_.size() < max_threads_ && queue_.size() > idle_workers_) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
+    SpawnIfSaturatedLocked();
   }
   work_ready_.notify_one();
   return Status::OK();
+}
+
+bool ThreadPool::TrySubmitBackground(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutting_down_ || queue_.size() >= queue_capacity_) return false;
+    queue_.push_back(Task{std::move(task), /*counted=*/false});
+    if (queue_depth_metric_ != nullptr) {
+      queue_depth_metric_->Set(static_cast<int64_t>(queue_.size()));
+    }
+    SpawnIfSaturatedLocked();
+  }
+  work_ready_.notify_one();
+  return true;
+}
+
+void ThreadPool::SpawnIfSaturatedLocked() {
+  // Lazy spawning: start another worker only when every started worker
+  // is busy and the cap allows it. Eager pools start saturated
+  // (workers_.size() == max_threads_), so this never fires for them.
+  if (workers_.size() < max_threads_ && queue_.size() > idle_workers_) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 void ThreadPool::Shutdown() {
@@ -87,7 +105,7 @@ size_t ThreadPool::queue_depth() const {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       ++idle_workers_;
@@ -101,8 +119,10 @@ void ThreadPool::WorkerLoop() {
         queue_depth_metric_->Set(static_cast<int64_t>(queue_.size()));
       }
     }
-    task();
-    if (tasks_run_metric_ != nullptr) tasks_run_metric_->Increment();
+    task.run();
+    if (tasks_run_metric_ != nullptr && task.counted) {
+      tasks_run_metric_->Increment();
+    }
   }
 }
 

@@ -53,6 +53,13 @@ class ThreadPool {
   /// message carries a retry-after hint) / kUnavailable (shutting down).
   Status TrySubmit(std::function<void()> task);
 
+  /// Queues \p task as background housekeeping rather than a request: it
+  /// moves no pool.* counter or histogram (the `pool.queue_depth` gauge
+  /// still tracks the queue it occupies). Returns false when the queue is
+  /// full or the pool is shutting down; \p task is then destroyed, unrun,
+  /// before this returns.
+  bool TrySubmitBackground(std::function<void()> task);
+
   /// Stops admitting work, drains the queue, and joins. Idempotent; also
   /// run by the destructor.
   void Shutdown();
@@ -62,7 +69,14 @@ class ThreadPool {
   size_t queue_depth() const;
 
  private:
+  struct Task {
+    std::function<void()> run;
+    bool counted = true;  ///< false for TrySubmitBackground housekeeping
+  };
+
   void WorkerLoop();
+  /// Lazy spawning; expects mu_.
+  void SpawnIfSaturatedLocked();
 
   const size_t queue_capacity_;
   const size_t max_threads_;
@@ -76,7 +90,7 @@ class ThreadPool {
   Histogram* depth_at_admit_metric_ = nullptr;
   mutable std::mutex mu_;
   std::condition_variable work_ready_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Task> queue_;
   bool shutting_down_ = false;
   size_t idle_workers_ = 0;  // workers blocked in work_ready_.wait
   std::vector<std::thread> workers_;

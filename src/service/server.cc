@@ -178,7 +178,6 @@ Result<ServeResponse> QueryServer::Answer(const TslQuery& query,
   policy.metrics = options_.metrics;
   policy.resilience = &resilience_;
   policy.admission_deadline_ticks = admission_deadline;
-  policy.backend = options_.backend;
   if (wrapper_factory_ != nullptr) {
     wrapper = wrapper_factory_(&clock, serve.seed);
     policy.wrapper = wrapper.get();
@@ -206,22 +205,33 @@ Result<ServeResponse> QueryServer::Answer(const TslQuery& query,
 
 void QueryServer::UpdateCatalog(OemDatabase db) {
   std::lock_guard<std::mutex> writer(mutate_mu_);
-  const std::shared_ptr<const Snapshot> current = snapshot();
-  auto catalog = std::make_shared<SourceCatalog>(*current->catalog);
+  std::shared_ptr<const Snapshot> current = snapshot();
+  // Copy every source but the replaced one; Put starts the new catalog's
+  // own (empty) extent memo.
+  auto catalog = std::make_shared<SourceCatalog>();
+  for (const auto& [name, source] : current->catalog->sources()) {
+    if (name != db.name()) catalog->Put(source);
+  }
   catalog->Put(std::move(db));
   auto next = std::make_shared<Snapshot>(*current);
   next->catalog = std::move(catalog);
   Publish(std::move(next));
   catalog_swaps_.fetch_add(1);
+  Retire(std::move(current));
 }
 
 void QueryServer::ReplaceCatalog(SourceCatalog catalog) {
   std::lock_guard<std::mutex> writer(mutate_mu_);
-  const std::shared_ptr<const Snapshot> current = snapshot();
+  std::shared_ptr<const Snapshot> current = snapshot();
   auto next = std::make_shared<Snapshot>(*current);
   next->catalog = std::make_shared<const SourceCatalog>(std::move(catalog));
   Publish(std::move(next));
   catalog_swaps_.fetch_add(1);
+  Retire(std::move(current));
+}
+
+void QueryServer::Retire(std::shared_ptr<const Snapshot> retired) {
+  pool_.TrySubmitBackground([retired = std::move(retired)] {});
 }
 
 MaintenanceReport QueryServer::ReplaceMediator(Mediator mediator) {
@@ -357,8 +367,7 @@ void QueryServer::InvalidatePlans() {
   std::lock_guard<std::mutex> writer(mutate_mu_);
   const std::shared_ptr<const Snapshot> current = snapshot();
   // Flush in place: the cache object (and its hit/miss/coalesced counters)
-  // survives, so Statsz deltas across an invalidation stay monotone. The
-  // old code rebuilt the PlanCache here and silently zeroed them.
+  // survives, so Statsz deltas across an invalidation stay monotone.
   current->plan_cache->Flush();
   auto next = std::make_shared<Snapshot>(*current);
   next->plan_generation = current->plan_cache->generation();
@@ -387,6 +396,9 @@ ServerStats QueryServer::stats() const {
   stats.plan_cache_shards = snap->plan_cache->ShardStats();
   stats.retry_after_queued = stats.queue_depth;
   stats.breakers = resilience_.Snapshot();
+  if (const ExtentMemo* memo = snap->catalog->extent_memo()) {
+    stats.extent_memo = memo->stats();
+  }
   return stats;
 }
 

@@ -92,11 +92,6 @@ struct ServerOptions {
   /// instead of erroring. ServeOptions::deadline_ticks overrides per
   /// request.
   uint64_t request_deadline_ticks = 0;
-  /// Plan-evaluation backend for every request (ExecutionPolicy::backend).
-  /// kIR compiles each cached plan once — the compiled program lives and
-  /// dies with the plan-cache entry — and answers stay byte-identical to
-  /// the tree walker.
-  ExecutionBackend backend = ExecutionBackend::kTree;
   /// Plan-cache treatment on mediator swaps (see MaintenanceMode).
   MaintenanceMode maintenance = MaintenanceMode::kSelective;
   /// Optional span sink for maintenance passes (not owned): each
@@ -200,7 +195,8 @@ class QueryServer {
 
   /// Adds or replaces one source database: copy-on-write on the catalog,
   /// then a snapshot swap. In-flight requests keep the old snapshot; the
-  /// plan cache survives (plans do not depend on source data).
+  /// plan cache survives (plans do not depend on source data); the extent
+  /// memo starts afresh.
   void UpdateCatalog(OemDatabase db);
 
   /// Replaces the whole catalog (same swap discipline as UpdateCatalog).
@@ -277,6 +273,10 @@ class QueryServer {
 
   std::shared_ptr<const Snapshot> snapshot() const;
   void Publish(std::shared_ptr<const Snapshot> next);
+  /// Hands the caller's reference to a retired snapshot to a pool worker,
+  /// so freeing its catalog and extents stays off the publish path (or
+  /// drops it inline when the pool refuses background work).
+  void Retire(std::shared_ptr<const Snapshot> retired);
   PlanCache::Options CacheOptions() const;
   /// Shared tail of the ReplaceMediator overloads; expects mutate_mu_.
   MaintenanceReport ReplaceMediatorLocked(

@@ -36,6 +36,7 @@ std::string ServerStats::ToString() const {
                   "\n");
   }
   out += StrCat("  ", maintenance.ToString(), "\n");
+  out += StrCat("  ", extent_memo.ToString(), "\n");
   out += StrCat("  retry-after hint: ~", retry_after_queued,
                 " queued-request-time(s)\n");
   if (!breakers.empty()) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "mediator/resilience.h"
+#include "oem/database.h"
 
 namespace tslrw {
 
@@ -82,6 +83,8 @@ struct ServerStats {
   std::vector<PlanCacheStats> plan_cache_shards;
   /// How mediator swaps were applied to the plan cache.
   MaintenanceStats maintenance;
+  /// The serving catalog generation's extent memo (zeroed by a publish).
+  ExtentMemo::Stats extent_memo;
   /// The admission-control retry-after hint, in queued-request-times: a
   /// rejected client should wait roughly this many average request
   /// durations before resubmitting (it equals the current queue depth —
