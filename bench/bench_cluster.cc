@@ -107,7 +107,7 @@ ClusterOptions MakeClusterOptions(size_t shards) {
 /// the sweep measures overlapped waiting (the thing shards multiply), not
 /// evaluator speed.
 WrapperFactory RemoteFactory() {
-  return [](VirtualClock*, uint64_t) {
+  return [](VirtualClock*, uint64_t, MetricRegistry*) {
     return std::make_unique<RemoteSourceWrapper>(
         std::chrono::microseconds(20000));
   };

@@ -46,7 +46,7 @@ void RunRewrite(benchmark::State& state, bool heuristic) {
   RewriteOptions options;
   options.use_cover_heuristic = heuristic;
   options.prune_dominated = false;
-  options.parallelism = 1;  // the sequential algorithm, on any host
+  options.parallelism = 1;  // one thread (the pipeline inline), on any host
   RewriteResult last;
   for (auto _ : state) {
     auto result = RewriteQuery(query, views, options);

@@ -81,7 +81,7 @@ class RemoteSourceWrapper : public Wrapper {
 };
 
 WrapperFactory RemoteSourceFactory(std::chrono::microseconds rtt) {
-  return [rtt](VirtualClock*, uint64_t) {
+  return [rtt](VirtualClock*, uint64_t, MetricRegistry*) {
     return std::make_unique<RemoteSourceWrapper>(rtt);
   };
 }
@@ -357,7 +357,8 @@ void BM_ServeChaos(benchmark::State& state) {
   SourceCatalog catalog = MakeCatalog(96);
   QueryServer healthy(MakeMirroredMediator(), catalog, ResilientOptions(1));
   QueryServer chaotic(MakeMirroredMediator(), catalog, ResilientOptions(1),
-                      [](VirtualClock* clock, uint64_t seed) {
+                      [](VirtualClock* clock, uint64_t seed,
+                         MetricRegistry*) {
                         return std::make_unique<ChaosBenchWrapper>(seed,
                                                                    clock);
                       });

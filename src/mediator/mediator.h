@@ -91,8 +91,9 @@ struct ExecutionPolicy {
   /// of continuing with the plans found so far.
   bool strict = false;
   /// Worker threads for candidate verification inside every plan search
-  /// (RewriteOptions::parallelism): 0 = hardware concurrency, 1 = the exact
-  /// sequential path. Plans are byte-identical either way.
+  /// (RewriteOptions::parallelism): 0 = hardware concurrency, 1 = the
+  /// pipeline inline on the calling thread. Plans are byte-identical at
+  /// every value.
   size_t rewrite_parallelism = 0;
   /// Optional span tree for this execution (docs/OBSERVABILITY.md): plan
   /// search, per-plan attempts, fetch retries/backoffs, failover and

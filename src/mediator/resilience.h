@@ -40,7 +40,7 @@ namespace tslrw {
 /// a deterministic function of the request history, which is what makes
 /// drill reports byte-reproducible.
 struct CircuitBreakerPolicy {
-  /// Master switch; the default keeps the legacy always-probe behavior.
+  /// Master switch; the default keeps the original always-probe behavior.
   bool enabled = false;
   /// Sliding outcome window per endpoint.
   size_t window = 8;

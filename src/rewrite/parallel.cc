@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "obs/metrics.h"
 #include "rewrite/compose.h"
 #include "runtime/thread_pool.h"
 #include "tsl/canonical.h"
@@ -27,12 +29,26 @@ namespace {
 /// stays a rounding error next to the per-candidate chase + composition;
 /// small enough that a search in the hundreds of candidates still spreads
 /// across a pool. (Searches smaller than one batch lose nothing: their
-/// wall clock is dominated by the first uncached equivalence test.)
+/// wall clock is dominated by the first uncached equivalence test.) With
+/// one worker there is no pool and every batch holds one candidate.
 constexpr size_t kBatchSize = 32;
 
-/// How one candidate's verification ended; the stages mirror the decision
-/// points of the sequential loop in rewriter.cc so that commit can replay
-/// them in enumeration order. Keep the two in lockstep.
+/// Runs \p fn; when \p hist is set, records its wall time in microseconds
+/// there (the `rewrite.phase.*_us` histograms).
+template <typename Fn>
+auto Timed(Histogram* hist, Fn&& fn) {
+  if (hist == nullptr) return fn();
+  const auto start = std::chrono::steady_clock::now();
+  auto out = fn();
+  hist->Observe(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  return out;
+}
+
+/// How one candidate's verification ended: the decision points of Step 2,
+/// which commit applies in enumeration order.
 struct Slot {
   enum class Stage {
     kDominated,   // resolved at dispatch: a committed accepted set is a
@@ -118,8 +134,8 @@ bool Dominated(const std::vector<std::vector<size_t>>& accepted,
 /// writes. The *composed rule set* memo (CheapRuleKey/RuleSetKey below)
 /// catches candidates whose bodies differ structurally but compose to
 /// α-isomorphic rule sets. Hard errors are never memoized at either level:
-/// an error must re-run so it surfaces with exactly the bytes the
-/// sequential path would have produced.
+/// an error must re-run so it surfaces with exactly the bytes of a
+/// memo-free verification of that candidate.
 struct ShapeOut {
   std::string shape;               // text with every variable as `?<sort>`
   std::vector<const Term*> vars;   // variable occurrences, traversal order
@@ -262,13 +278,22 @@ class Pipeline {
         head_(chased_query.head),
         name_prefix_(chased_query.name.empty() ? "rewriting"
                                                : chased_query.name),
+        batch_size_(workers > 1 ? kBatchSize : 1),
         max_pending_(workers * kBatchSize * 4) {
+    if (options.metrics != nullptr) {
+      chase_us_ = options.metrics->GetHistogram("rewrite.phase.chase_us");
+      compose_us_ = options.metrics->GetHistogram("rewrite.phase.compose_us");
+      equiv_us_ = options.metrics->GetHistogram("rewrite.phase.equiv_us");
+    }
     InternAtoms(atoms);
     contexts_.reserve(workers);
     for (size_t i = 0; i < workers; ++i) {
       contexts_.push_back(std::make_unique<Ctx>(tester));
       free_contexts_.push_back(i);
     }
+    // One worker verifies inline on the producing thread: no pool, no
+    // thread.
+    if (workers == 1) return;
     ThreadPool::Options pool;
     pool.threads = workers;
     // The producer's in-flight bound keeps the depth below this; the slack
@@ -337,7 +362,7 @@ class Pipeline {
         batch_.push_back(WorkItem{candidate, p.slot, std::move(alpha_key)});
       }
       body_slots_.emplace(std::move(body_key), p.slot);
-      if (batch_.size() >= kBatchSize) Flush(lock);
+      if (batch_.size() >= batch_size_) Flush(lock);
     }
     pending_.push_back(std::move(p));
 
@@ -349,6 +374,9 @@ class Pipeline {
       if (failed_ || pending_.size() < max_pending_) break;
       slot_ready_.wait(lock);
     }
+    // Inline, this commits the candidate just verified, so a hard error
+    // stops the enumeration at the candidate that raised it.
+    CommitReady();
     return !failed_;
   }
 
@@ -367,7 +395,7 @@ class Pipeline {
     }
     // Drains work items stranded behind a hard error; their outcomes are
     // never committed.
-    pool_->Shutdown();
+    if (pool_ != nullptr) pool_->Shutdown();
     result_->chase_cache_hits += chase_hits_.load();
     result_->equiv_cache_hits += equiv_hits_.load();
     return failed_ ? failure_ : Status::OK();
@@ -498,8 +526,7 @@ class Pipeline {
     candidate_memo_.emplace(alpha_key, outcome);
   }
 
-  /// Commits every ready in-order outcome. Mirrors the sequential loop
-  /// body in rewriter.cc, decision for decision. Caller holds mu_.
+  /// Commits every ready in-order outcome. Caller holds mu_.
   void CommitReady() {
     while (!failed_ && !pending_.empty() && pending_.front().slot->done) {
       Pending p = std::move(pending_.front());
@@ -539,21 +566,22 @@ class Pipeline {
     }
   }
 
-  /// Hands the current batch to the pool. Caller holds mu_ (released only
-  /// around an inline fallback run).
+  /// Hands the current batch to the pool, or verifies it inline when
+  /// there is no pool (one worker) or the pool is saturated. Outcomes are
+  /// outcomes wherever they are computed; commit order is unaffected.
+  /// Caller holds mu_ (released only around an inline run).
   void Flush(std::unique_lock<std::mutex>& lock) {
     if (batch_.empty()) return;
     auto batch = std::make_shared<std::vector<WorkItem>>(std::move(batch_));
     batch_.clear();
-    ++result_->batches_dispatched;
-    Status submitted = pool_->TrySubmit([this, batch] { RunBatch(*batch); });
-    if (!submitted.ok()) {
-      // Pool saturated: verify inline. Outcomes are outcomes wherever they
-      // are computed; commit order is unaffected.
-      lock.unlock();
-      RunBatch(*batch);
-      lock.lock();
+    if (pool_ != nullptr &&
+        pool_->TrySubmit([this, batch] { RunBatch(*batch); }).ok()) {
+      ++result_->batches_dispatched;
+      return;
     }
+    lock.unlock();
+    RunBatch(*batch);
+    lock.lock();
   }
 
   void RunBatch(std::vector<WorkItem>& batch) {
@@ -565,8 +593,8 @@ class Pipeline {
         free_contexts_.pop_back();
       }
     }
-    // Only an inline-fallback run can find every context taken; it clones
-    // a fresh one rather than sharing.
+    // Only an inline run beside a busy pool can find every context taken;
+    // it clones a fresh one rather than sharing.
     std::unique_ptr<Ctx> local;
     if (ctx_index == SIZE_MAX) local = std::make_unique<Ctx>(tester_);
     Ctx& ctx = local ? *local : *contexts_[ctx_index];
@@ -594,8 +622,10 @@ class Pipeline {
   }
 
   /// Chase + compose + equivalence for one candidate, through the memos.
-  /// Hard-error Statuses are never cached: an error must surface with the
-  /// exact message the sequential path would have produced for that seq.
+  /// Each phase that actually runs is timed into `rewrite.phase.*_us`;
+  /// memo hits are not. Hard-error Statuses are never cached: an error
+  /// must surface with the exact message a memo-free verification of that
+  /// candidate produces.
   Slot Verify(const TslQuery& candidate,
               const std::vector<uint32_t>& alpha_key, Ctx& ctx) {
     Slot out;
@@ -629,7 +659,8 @@ class Pipeline {
       }
     }
     if (!have_entry) {
-      Result<TslQuery> fresh = ChaseQuery(candidate, chase_options_);
+      Result<TslQuery> fresh = Timed(
+          chase_us_, [&] { return ChaseQuery(candidate, chase_options_); });
       if (fresh.ok()) {
         chased = std::make_shared<const TslQuery>(std::move(fresh).value());
       } else if (fresh.status().IsUnsatisfiable()) {
@@ -652,8 +683,9 @@ class Pipeline {
     }
 
     // Step 2 through the per-worker compose cache and the verdict memo.
-    Result<TslRuleSet> composed =
-        ComposeWithViews(*chased, views_, &ctx.compose);
+    Result<TslRuleSet> composed = Timed(compose_us_, [&] {
+      return ComposeWithViews(*chased, views_, &ctx.compose);
+    });
     if (!composed.ok()) {
       out.stage = Slot::Stage::kLateError;
       out.error = composed.status();
@@ -671,7 +703,8 @@ class Pipeline {
         return out;
       }
     }
-    Result<bool> equivalent = ctx.tester.EquivalentTo(*composed);
+    Result<bool> equivalent =
+        Timed(equiv_us_, [&] { return ctx.tester.EquivalentTo(*composed); });
     if (!equivalent.ok()) {
       out.stage = Slot::Stage::kLateError;
       out.error = equivalent.status();
@@ -699,7 +732,12 @@ class Pipeline {
   RewriteResult* result_;
   const ObjectPattern head_;
   const std::string name_prefix_;
+  const size_t batch_size_;
   const size_t max_pending_;
+  // The `rewrite.phase.*_us` histograms; null without metrics.
+  Histogram* chase_us_ = nullptr;
+  Histogram* compose_us_ = nullptr;
+  Histogram* equiv_us_ = nullptr;
 
   // Producer/commit state; guarded by mu_ (slot_ready_ signals new done
   // slots). `result_` and `accepted_` are written by the producer thread
@@ -740,19 +778,19 @@ class Pipeline {
   std::vector<std::unique_ptr<Ctx>> contexts_;
   std::vector<size_t> free_contexts_;
 
-  std::unique_ptr<ThreadPool> pool_;  // last: joins before members die
+  // Null with one worker. Last: joins before members die.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace
 
-Status VerifyCandidatesInParallel(const TslQuery& chased_query,
-                                  const std::vector<TslQuery>& chased_views,
-                                  const ChaseOptions& chase_options,
-                                  const EquivalenceTester& tester,
-                                  const CandidateEnumerator& enumerator,
-                                  const RewriteOptions& options,
-                                  size_t workers, RewriteResult* result,
-                                  bool* complete) {
+Status VerifyCandidates(const TslQuery& chased_query,
+                        const std::vector<TslQuery>& chased_views,
+                        const ChaseOptions& chase_options,
+                        const EquivalenceTester& tester,
+                        const CandidateEnumerator& enumerator,
+                        const RewriteOptions& options, size_t workers,
+                        RewriteResult* result, bool* complete) {
   Pipeline pipeline(chased_query, chased_views, enumerator.atoms(),
                     chase_options, tester, options, workers, result);
   *complete = enumerator.Enumerate([&](const std::vector<size_t>& chosen) {

@@ -13,38 +13,52 @@
 
 namespace tslrw {
 
-/// \brief Steps 1B–2 of RewriteQuery on a worker pool (docs/PARALLELISM.md).
+/// \brief Steps 1B–2 of RewriteQuery: verifies every candidate
+/// \p enumerator emits (chase, composition with the views, \S4 test) and
+/// fills `result` (candidates_generated/tested, rewritings in enumeration
+/// order, shared-work diagnostics). \p workers is the resolved
+/// RewriteOptions::parallelism (>= 1). \p complete receives
+/// CandidateEnumerator::Enumerate's completion flag. Returns the first hard
+/// error in enumeration order, or OK.
+using CandidateVerifier = Status (*)(const TslQuery& chased_query,
+                                     const std::vector<TslQuery>& chased_views,
+                                     const ChaseOptions& chase_options,
+                                     const EquivalenceTester& tester,
+                                     const CandidateEnumerator& enumerator,
+                                     const RewriteOptions& options,
+                                     size_t workers, RewriteResult* result,
+                                     bool* complete);
+
+/// \brief RewriteQuery's CandidateVerifier: the memoized pipeline of
+/// docs/PARALLELISM.md.
 ///
-/// The enumeration stays on the calling thread and is a cheap producer:
-/// each emitted atom subset becomes a named candidate that is batched into
-/// a bounded work queue. Workers run the expensive per-candidate work —
-/// chase (Step 1C), composition (Step 2A), and the \S4 equivalence test —
-/// each with its own EquivalenceTester clone and ComposeCache, sharing
-/// α-invariant memos (the whole verification outcome by a cheap α-sound
-/// fingerprint of the candidate body, the chase by canonical candidate
-/// body under constraints, and the verdict by a fingerprint of the
-/// composed rule set) plus a dedupe of byte-identical candidate bodies.
-/// Outcomes are committed strictly in enumeration order by
-/// replaying the sequential loop's decisions, so `result` (rewritings,
-/// candidates_generated/tested, truncation) and any returned hard-error
-/// Status are byte-identical to the `parallelism = 1` path.
-///
-/// \param enumerator the Step 1B enumerator (already holding the atoms).
-/// \param workers worker-thread count; callers pass a resolved value >= 2.
-/// \param result receives counters and rewritings, exactly as the
-///        sequential loop would have filled them.
-/// \param complete receives CandidateEnumerator::Enumerate's completion
-///        flag (false when max_candidates/should_stop cut the search or a
-///        hard error stopped it), for the caller's `truncated` computation.
-/// \return the first hard error in enumeration order, or OK.
-Status VerifyCandidatesInParallel(const TslQuery& chased_query,
-                                  const std::vector<TslQuery>& chased_views,
-                                  const ChaseOptions& chase_options,
-                                  const EquivalenceTester& tester,
-                                  const CandidateEnumerator& enumerator,
-                                  const RewriteOptions& options,
-                                  size_t workers, RewriteResult* result,
-                                  bool* complete);
+/// The enumeration stays on the calling thread. Verification goes through
+/// α-invariant memos (the whole outcome by a cheap α-sound fingerprint of
+/// the candidate body, the chase by canonical body under constraints, the
+/// verdict by a fingerprint of the composed rule set) plus a dedupe of
+/// byte-identical bodies. With one worker each candidate is verified
+/// inline as soon as it is emitted; with more, batches go to a worker pool,
+/// each worker holding its own EquivalenceTester clone and ComposeCache.
+/// Outcomes commit in enumeration order, so `result` and any hard-error
+/// Status are the same at every worker count.
+Status VerifyCandidates(const TslQuery& chased_query,
+                        const std::vector<TslQuery>& chased_views,
+                        const ChaseOptions& chase_options,
+                        const EquivalenceTester& tester,
+                        const CandidateEnumerator& enumerator,
+                        const RewriteOptions& options, size_t workers,
+                        RewriteResult* result, bool* complete);
+
+/// \brief RewriteQuery with its Step 2 verifier supplied by the caller
+/// (defined in rewriter.cc). Everything else — input chase, mappings,
+/// tester, enumerator, counters, and spans — is RewriteQuery's own;
+/// RewriteQuery itself is RewriteQueryWith(..., &VerifyCandidates). The
+/// memo-free reference verifier (src/testing/reference_rewriter.h) plugs
+/// in here, so the byte-identity tests compare the verifiers alone.
+Result<RewriteResult> RewriteQueryWith(const TslQuery& query,
+                                       const std::vector<TslQuery>& views,
+                                       const RewriteOptions& options,
+                                       CandidateVerifier verify);
 
 }  // namespace tslrw
 

@@ -1,6 +1,5 @@
 #include "rewrite/rewriter.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -9,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewrite/candidate.h"
-#include "rewrite/compose.h"
 #include "rewrite/parallel.h"
 #include "rewrite/view_index.h"
 #include "tsl/normal_form.h"
@@ -131,6 +129,13 @@ Result<ChasedInputs> ChaseInputsIndexed(const TslQuery& query,
 Result<RewriteResult> RewriteQuery(const TslQuery& query,
                                    const std::vector<TslQuery>& views,
                                    const RewriteOptions& options) {
+  return RewriteQueryWith(query, views, options, &VerifyCandidates);
+}
+
+Result<RewriteResult> RewriteQueryWith(const TslQuery& query,
+                                       const std::vector<TslQuery>& views,
+                                       const RewriteOptions& options,
+                                       CandidateVerifier verify) {
   TSLRW_RETURN_NOT_OK(ValidateQuery(query));
   ScopedSpan rewrite_span(options.tracer, "rewrite");
   rewrite_span.Annotate("views", static_cast<uint64_t>(views.size()));
@@ -205,89 +210,15 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
   TSLRW_ASSIGN_OR_RETURN(
       EquivalenceTester tester,
       EquivalenceTester::Make(TslRuleSet::Single(q), chase_options));
-  Status failure;  // first hard error inside the enumeration callback
   CandidateEnumerator enumerator(std::move(atoms), q.body.size(), options);
   const size_t workers = ResolveParallelism(options.parallelism);
   ScopedSpan search_span(options.tracer, "rewrite.search");
   search_span.Annotate("workers", static_cast<uint64_t>(workers));
-  // Per-phase wall-time histograms on the sequential path, where the three
-  // phases run inline on this thread. (The parallel path times nothing per
-  // candidate: phases interleave across workers and memos skip them.)
-  Histogram* chase_us_hist = nullptr;
-  Histogram* compose_us_hist = nullptr;
-  Histogram* equiv_us_hist = nullptr;
-  if (options.metrics != nullptr && workers <= 1) {
-    chase_us_hist = options.metrics->GetHistogram("rewrite.phase.chase_us");
-    compose_us_hist = options.metrics->GetHistogram("rewrite.phase.compose_us");
-    equiv_us_hist = options.metrics->GetHistogram("rewrite.phase.equiv_us");
-  }
-  const auto verify_start = std::chrono::steady_clock::now();
+  const auto verify_start = SteadyClock::now();
   bool complete = true;
-  if (workers > 1) {
-    failure = VerifyCandidatesInParallel(q, inputs.views, chase_options,
-                                         tester, enumerator, options, workers,
-                                         &result, &complete);
-  } else {
-    // The exact legacy sequential path: no worker pool, no memo caches. The
-    // parallel pipeline (rewrite/parallel.cc) replays these decisions in
-    // enumeration order — keep the two in lockstep.
-    std::vector<std::vector<size_t>> accepted_atom_sets;
-    complete = enumerator.Enumerate([&](const std::vector<size_t>& chosen) {
-      ++result.candidates_generated;
-      if (options.prune_dominated) {
-        // `chosen` is sorted ascending by enumeration construction, and each
-        // accepted entry is a former `chosen`.
-        for (const std::vector<size_t>& prior : accepted_atom_sets) {
-          if (std::includes(chosen.begin(), chosen.end(), prior.begin(),
-                            prior.end())) {
-            return true;  // dominated by an accepted, smaller rewriting
-          }
-        }
-      }
-
-      TslQuery candidate;
-      candidate.name = StrCat(q.name.empty() ? "rewriting" : q.name, "_rw",
-                              result.candidates_generated);
-      candidate.head = q.head;  // Lemma 5.4
-      for (size_t i : chosen) {
-        candidate.body.push_back(enumerator.atoms()[i].condition);
-      }
-      if (!CheckSafety(candidate).ok()) return true;  // unsafe: skip
-
-      // Step 1C: label inference + chase of the candidate.
-      const bool timed = chase_us_hist != nullptr;
-      auto phase_start = timed ? SteadyClock::now() : SteadyClock::time_point{};
-      Result<TslQuery> chased = ChaseQuery(candidate, chase_options);
-      if (timed) chase_us_hist->Observe(ElapsedUs(phase_start));
-      if (!chased.ok()) {
-        if (chased.status().IsUnsatisfiable()) return true;
-        failure = chased.status();
-        return false;
-      }
-
-      // Step 2: compose with the views and test equivalence with the query.
-      ++result.candidates_tested;
-      if (timed) phase_start = SteadyClock::now();
-      Result<TslRuleSet> composed = ComposeWithViews(*chased, inputs.views);
-      if (timed) compose_us_hist->Observe(ElapsedUs(phase_start));
-      if (!composed.ok()) {
-        failure = composed.status();
-        return false;
-      }
-      if (timed) phase_start = SteadyClock::now();
-      Result<bool> equivalent = tester.EquivalentTo(*composed);
-      if (timed) equiv_us_hist->Observe(ElapsedUs(phase_start));
-      if (!equivalent.ok()) {
-        failure = equivalent.status();
-        return false;
-      }
-      if (*equivalent) {
-        accepted_atom_sets.push_back(chosen);
-        result.rewritings.push_back(std::move(candidate));
-      }
-      return true;
-    });
-  }
+  const Status failure = verify(q, inputs.views, chase_options, tester,
+                                enumerator, options, workers, &result,
+                                &complete);
   result.verify_wall_ticks = ElapsedUs(verify_start);
   if (!failure.ok()) {
     CountIf(options.metrics, "rewrite.errors");

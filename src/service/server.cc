@@ -29,8 +29,9 @@ namespace {
 class FaultInjectingWrapper : public Wrapper {
  public:
   FaultInjectingWrapper(uint64_t seed, VirtualClock* clock,
+                        MetricRegistry* metrics,
                         const std::map<std::string, FaultSchedule>& schedules)
-      : injector_(&base_, seed, clock) {
+      : base_(metrics), injector_(&base_, seed, clock) {
     for (const auto& [key, schedule] : schedules) {
       injector_.SetSchedule(key, schedule);
     }
@@ -52,9 +53,10 @@ WrapperFactory MakeFaultInjectingWrapperFactory(
     std::map<std::string, FaultSchedule> schedules) {
   auto shared = std::make_shared<const std::map<std::string, FaultSchedule>>(
       std::move(schedules));
-  return [shared](VirtualClock* clock,
-                  uint64_t seed) -> std::unique_ptr<Wrapper> {
-    return std::make_unique<FaultInjectingWrapper>(seed, clock, *shared);
+  return [shared](VirtualClock* clock, uint64_t seed,
+                  MetricRegistry* metrics) -> std::unique_ptr<Wrapper> {
+    return std::make_unique<FaultInjectingWrapper>(seed, clock, metrics,
+                                                   *shared);
   };
 }
 
@@ -179,7 +181,7 @@ Result<ServeResponse> QueryServer::Answer(const TslQuery& query,
   policy.resilience = &resilience_;
   policy.admission_deadline_ticks = admission_deadline;
   if (wrapper_factory_ != nullptr) {
-    wrapper = wrapper_factory_(&clock, serve.seed);
+    wrapper = wrapper_factory_(&clock, serve.seed, options_.metrics);
     policy.wrapper = wrapper.get();
   }
   Result<DegradedAnswer> answer =

@@ -72,8 +72,9 @@ struct ServerOptions {
   bool strict = false;
   /// Verification workers inside each cold plan search and each failover
   /// re-plan (RewriteOptions::parallelism semantics: 0 = hardware
-  /// concurrency, 1 = sequential). Cached plans are byte-identical for
-  /// every value, so this only changes cold-miss latency.
+  /// concurrency, 1 = the pipeline inline on the request's thread). Cached
+  /// plans are byte-identical for every value, so this only changes
+  /// cold-miss latency.
   size_t rewrite_parallelism = 0;
   /// Optional server-wide metric sink (not owned; must outlive the
   /// server): thread-pool admission, per-request outcomes, plan-cache
@@ -138,11 +139,12 @@ struct ServeResponse {
 /// \brief Builds the per-request Wrapper (and may capture the per-request
 /// VirtualClock, e.g. for slow-source faults). Called once per request from
 /// a worker thread; each returned wrapper is used by exactly one request,
-/// so implementations need no internal synchronization. Null factory =>
+/// so implementations need no internal synchronization. \p metrics is the
+/// server's registry (ServerOptions::metrics, may be null), for wrappers
+/// that count, e.g. a CatalogWrapper's extent-memo hits. Null factory =>
 /// the built-in CatalogWrapper.
-using WrapperFactory =
-    std::function<std::unique_ptr<Wrapper>(VirtualClock* clock,
-                                           uint64_t seed)>;
+using WrapperFactory = std::function<std::unique_ptr<Wrapper>(
+    VirtualClock* clock, uint64_t seed, MetricRegistry* metrics)>;
 
 /// \brief The standard faulty-catalog factory: each request gets a fresh
 /// CatalogWrapper decorated by a FaultInjector running \p schedules (keys

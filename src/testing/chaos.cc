@@ -305,7 +305,8 @@ Result<ChaosDrillResult> RunChaosDrill(
   cluster_options.server = server_options;
   ShardRouter server(
       std::move(made).ValueOrDie(), catalog, cluster_options,
-      [state](VirtualClock* clock, uint64_t seed) -> std::unique_ptr<Wrapper> {
+      [state](VirtualClock* clock, uint64_t seed,
+              MetricRegistry*) -> std::unique_ptr<Wrapper> {
         return std::make_unique<ChaosWrapper>(state, seed, clock);
       });
   const size_t shards = server.shards();

@@ -404,7 +404,8 @@ TEST(ShardRouterTest, SaturatedShardHintPropagatesThroughTheRouter) {
   options.server.metrics = &metrics;
   ShardRouter router(
       *std::move(made), BiblioCatalog(), options,
-      [release](VirtualClock*, uint64_t) -> std::unique_ptr<Wrapper> {
+      [release](VirtualClock*, uint64_t,
+                MetricRegistry*) -> std::unique_ptr<Wrapper> {
         return std::make_unique<GatedWrapper>(release);
       });
 

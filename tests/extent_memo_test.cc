@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "eval/evaluator.h"
 #include "fixtures.h"
 #include "mediator/fault.h"
@@ -231,6 +232,45 @@ TEST(ExtentMemoTest, UpdateCatalogStartsAFreshGeneration) {
   // Retired snapshots were handed to the pool as background work, which
   // is not counted as requests.
   EXPECT_EQ(Count(metrics, "pool.tasks_run"), 0u);
+}
+
+TEST(ExtentMemoTest, FaultInjectingServersCountMemoHits) {
+  // A server whose wrappers come from MakeFaultInjectingWrapperFactory
+  // hands its registry to each request's CatalogWrapper, so the memo
+  // counters move, and they agree with the Statsz line (the memo's own
+  // counts) — this server's wrappers are the memo's only users.
+  auto mediator = Mediator::Make(Sources());
+  ASSERT_TRUE(mediator.ok()) << mediator.status();
+  MetricRegistry metrics;
+  ServerOptions options;
+  options.threads = 2;
+  options.metrics = &metrics;
+  FaultSchedule blip;  // the first fetch fails once and is retried
+  blip.scripted = {Fault::Unavailable()};
+  QueryServer server(std::move(*mediator), CatalogWith("VLDB"), options,
+                     MakeFaultInjectingWrapperFactory({{"db", blip}}));
+  const TslQuery query = SigmodQuery();
+  auto oracle = Evaluate(query, CatalogWith("VLDB"));
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    ServeOptions serve;
+    serve.seed = seed;
+    auto served = server.Answer(query, serve);
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(Render(served->answer.result), Render(*oracle));
+  }
+  const uint64_t hits = Count(metrics, "mediator.extent_memo_hits");
+  const uint64_t misses = Count(metrics, "mediator.extent_memo_misses");
+  EXPECT_GE(hits, 2u);
+  EXPECT_GE(misses, 1u);
+  const ExtentMemo::Stats stats = server.stats().extent_memo;
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(stats.misses, misses);
+  const std::string line =
+      StrCat("extent memo: ", stats.extents, " extent(s), ", hits,
+             " hit(s), ", misses, " miss(es)");
+  EXPECT_NE(server.Statsz().find(line), std::string::npos)
+      << line << "\n" << server.Statsz();
 }
 
 TEST(ExtentMemoTest, AlphaRenamedSpellingsShareOneExtent) {

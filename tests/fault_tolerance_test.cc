@@ -562,7 +562,7 @@ TEST(FaultToleranceTest, ScriptedBlipsYieldExactReportNumbers) {
   policy.retry.max_attempts = 3;
   policy.retry.initial_backoff_ticks = 1;
   policy.retry.jitter = 0.0;
-  policy.rewrite_parallelism = 1;  // sequential: cache hits stay zero
+  policy.rewrite_parallelism = 1;  // inline: the search stats are exact
   auto answer = mediator.Answer(Sigmod97Query(), catalog, policy);
   ASSERT_TRUE(answer.ok()) << answer.status();
 
@@ -592,8 +592,10 @@ TEST(FaultToleranceTest, ScriptedBlipsYieldExactReportNumbers) {
   EXPECT_EQ(fetch.attempts[2].at_ticks, 3u);
   EXPECT_TRUE(fetch.attempts[2].outcome.ok());
 
-  // The plan search behind the answer, replayed on the sequential path:
-  // the Sigmod97 query has exactly one total rewriting over Y97.
+  // The plan search behind the answer, verified inline: the Sigmod97 query
+  // has exactly one total rewriting over Y97. Only one candidate is
+  // tested, so its verdict is computed (no memo hit), and no batch goes to
+  // a pool.
   const PlanSearchStats& search = report.plan_search;
   EXPECT_EQ(search.candidates_generated, 2u);
   EXPECT_EQ(search.candidates_tested, 1u);

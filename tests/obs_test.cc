@@ -2,10 +2,12 @@
 // power-of-two histogram buckets, registry snapshots), span-tree
 // well-formedness (Validate as the arbiter), the null-tracer discipline
 // instrumented code relies on, and the integration points — mediator
-// retry/fault events in spans, server counters staying exact under
-// concurrent load (run under TSan in CI).
+// retry/fault events in spans, rewrite phase histograms at every
+// parallelism, server counters staying exact under concurrent load (run
+// under TSan in CI).
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "oem/parser.h"
+#include "rewrite/rewriter.h"
 #include "service/server.h"
 #include "tsl/parser.h"
 
@@ -304,6 +307,49 @@ TEST(ObsIntegrationTest, MediatorTraceShowsRetriesFaultsAndFailover) {
   EXPECT_EQ(metrics.GetCounter("mediator.retries")->value(), 2u);
   EXPECT_EQ(metrics.GetCounter("mediator.fetch_attempts")->value(), 3u);
   EXPECT_EQ(metrics.GetCounter("mediator.answers_complete")->value(), 1u);
+}
+
+TEST(ObsIntegrationTest, RewritePhaseHistogramsCoverEveryParallelism) {
+  // The k=5 per-arm star (CL-EXP-CAND) with pruning off: all 31 candidates
+  // are tested, and each test either runs the \S4 test — timed into
+  // rewrite.phase.equiv_us — or is answered by a memo, counted in
+  // rewrite.equiv_cache_hits; memo hits are not timed. That holds inline
+  // and on a pool, where racing workers may both run a test.
+  std::vector<std::string> arms;
+  std::vector<TslQuery> views;
+  for (int i = 0; i < 5; ++i) {
+    arms.push_back(StrCat("<P rec {<X", i, " l", i, " u", i, ">}>@db"));
+    auto view = ParseTslQuery(StrCat("<v", i, "(P') o", i, " {<w", i,
+                                     "(X') m U'>}> :- <P' rec {<X' l", i,
+                                     " U'>}>@db"),
+                              StrCat("V", i));
+    ASSERT_TRUE(view.ok()) << view.status();
+    views.push_back(std::move(view).value());
+  }
+  auto query =
+      ParseTslQuery(StrCat("<f(P) out yes> :- ", Join(arms, " AND ")), "Q");
+  ASSERT_TRUE(query.ok()) << query.status();
+  for (size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(StrCat("parallelism=", workers));
+    MetricRegistry metrics;
+    RewriteOptions options;
+    options.prune_dominated = false;
+    options.parallelism = workers;
+    options.metrics = &metrics;
+    auto result = RewriteQuery(*query, views, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const uint64_t tested =
+        metrics.GetCounter("rewrite.candidates_tested")->value();
+    EXPECT_EQ(tested, 31u);
+    EXPECT_GT(metrics.GetHistogram("rewrite.phase.chase_us")->count(), 0u);
+    EXPECT_GT(metrics.GetHistogram("rewrite.phase.compose_us")->count(), 0u);
+    const uint64_t equiv_runs =
+        metrics.GetHistogram("rewrite.phase.equiv_us")->count();
+    EXPECT_GT(equiv_runs, 0u);
+    EXPECT_EQ(equiv_runs +
+                  metrics.GetCounter("rewrite.equiv_cache_hits")->value(),
+              tested);
+  }
 }
 
 TEST(ObsIntegrationTest, ServerCountersStayConsistentUnderLoad) {

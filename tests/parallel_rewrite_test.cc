@@ -1,6 +1,7 @@
-// The parallel verification pipeline's contract (docs/PARALLELISM.md):
-// RewriteQuery with parallelism=N must be byte-identical to parallelism=1 —
-// same rewritings in the same order with the same names, same legacy
+// The verification pipeline's contract (docs/PARALLELISM.md): RewriteQuery
+// at every parallelism — 1 (inline) and 2, 4, 8 (worker pool) — must be
+// byte-identical to the memo-free reference verifier in src/testing — same
+// rewritings in the same order with the same names, same candidate
 // counters, same truncation flag, same error statuses — for every input.
 // The k=5 per-arm stress cases double as the TSan workload (the CI
 // thread-sanitize job runs the whole suite under TSan).
@@ -16,8 +17,9 @@
 #include "constraints/dtd.h"
 #include "constraints/inference.h"
 #include "fixtures.h"
-#include "testing/random_rules.h"
 #include "rewrite/rewriter.h"
+#include "testing/random_rules.h"
+#include "testing/reference_rewriter.h"
 
 namespace tslrw {
 namespace {
@@ -50,32 +52,30 @@ TslQuery StarQuery(int k) {
   return MustParse(StrCat("<f(P) out yes> :- ", Join(body, " AND ")), "Q");
 }
 
-/// Runs the query at parallelism=1 and at each of {2, 4, 8}; every output
-/// the determinism guarantee covers must match the sequential run
-/// byte-for-byte. (chase/equiv cache hits, batches, and wall ticks are
-/// scheduling-dependent diagnostics and deliberately not compared.)
-void ExpectParallelMatchesSequential(const TslQuery& query,
-                                     const std::vector<TslQuery>& views,
-                                     RewriteOptions options = {}) {
-  options.parallelism = 1;
-  Result<RewriteResult> sequential = RewriteQuery(query, views, options);
-  for (size_t workers : {2u, 4u, 8u}) {
+/// Runs the memo-free reference and RewriteQuery at parallelism {1, 2, 4,
+/// 8}; every output the determinism guarantee covers must match the
+/// reference byte-for-byte. (chase/equiv cache hits, batches, and wall
+/// ticks are the pipeline's own diagnostics and deliberately not compared.)
+void ExpectMatchesReference(const TslQuery& query,
+                            const std::vector<TslQuery>& views,
+                            RewriteOptions options = {}) {
+  Result<RewriteResult> reference =
+      testing::ReferenceRewriteQuery(query, views, options);
+  for (size_t workers : {1u, 2u, 4u, 8u}) {
     options.parallelism = workers;
-    Result<RewriteResult> parallel = RewriteQuery(query, views, options);
+    Result<RewriteResult> piped = RewriteQuery(query, views, options);
     SCOPED_TRACE(StrCat("parallelism=", workers, " query=", query.ToString()));
-    ASSERT_EQ(sequential.ok(), parallel.ok())
-        << (sequential.ok() ? parallel.status() : sequential.status())
-               .ToString();
-    if (!sequential.ok()) {
-      EXPECT_EQ(sequential.status().ToString(), parallel.status().ToString());
+    ASSERT_EQ(reference.ok(), piped.ok())
+        << (reference.ok() ? piped.status() : reference.status()).ToString();
+    if (!reference.ok()) {
+      EXPECT_EQ(reference.status().ToString(), piped.status().ToString());
       continue;
     }
-    EXPECT_EQ(RenderRewritings(*sequential), RenderRewritings(*parallel));
-    EXPECT_EQ(sequential->mappings_found, parallel->mappings_found);
-    EXPECT_EQ(sequential->candidates_generated,
-              parallel->candidates_generated);
-    EXPECT_EQ(sequential->candidates_tested, parallel->candidates_tested);
-    EXPECT_EQ(sequential->truncated, parallel->truncated);
+    EXPECT_EQ(RenderRewritings(*reference), RenderRewritings(*piped));
+    EXPECT_EQ(reference->mappings_found, piped->mappings_found);
+    EXPECT_EQ(reference->candidates_generated, piped->candidates_generated);
+    EXPECT_EQ(reference->candidates_tested, piped->candidates_tested);
+    EXPECT_EQ(reference->truncated, piped->truncated);
   }
 }
 
@@ -89,7 +89,7 @@ TEST(ParallelRewriteTest, PaperFixturesAreByteIdentical) {
   };
   std::vector<TslQuery> views = {MustParse(testing::kV1, "V1")};
   for (std::string_view text : fixtures) {
-    ExpectParallelMatchesSequential(MustParse(text), views);
+    ExpectMatchesReference(MustParse(text), views);
   }
 }
 
@@ -98,7 +98,7 @@ TEST(ParallelRewriteTest, FixturesOverViewBodiesAreByteIdentical) {
   std::vector<TslQuery> views = {MustParse(testing::kV1, "V1")};
   for (std::string_view text :
        {testing::kQ4, testing::kQ4n, testing::kQ6, testing::kQ8}) {
-    ExpectParallelMatchesSequential(MustParse(text), views);
+    ExpectMatchesReference(MustParse(text), views);
   }
 }
 
@@ -110,18 +110,20 @@ TEST(ParallelRewriteTest, DtdEnabledRewritingIsByteIdentical) {
   StructuralConstraints constraints(std::move(dtd).value());
   RewriteOptions options;
   options.constraints = &constraints;
-  ExpectParallelMatchesSequential(MustParse(testing::kQ7),
+  ExpectMatchesReference(MustParse(testing::kQ7),
                                   {MustParse(testing::kV1, "V1")}, options);
 }
 
 TEST(ParallelRewriteTest, RandomRuleSetsAreByteIdentical) {
-  for (uint64_t seed : {3u, 17u, 99u}) {
+  std::vector<uint64_t> seeds = {3, 17, 99};
+  for (uint64_t seed = 100; seeds.size() < 25; ++seed) seeds.push_back(seed);
+  for (uint64_t seed : seeds) {
     testing::RandomRules rules(seed, 4, 4, "l0");
     std::vector<TslQuery> views = {rules.View("V1", "db"),
                                    rules.CopyView("V2", "db"),
                                    rules.DeepView("V3", "db")};
     for (int i = 0; i < 4; ++i) {
-      ExpectParallelMatchesSequential(rules.Query("Q", "db"), views);
+      ExpectMatchesReference(rules.Query("Q", "db"), views);
     }
   }
 }
@@ -130,11 +132,30 @@ TEST(ParallelRewriteTest, PerArmStarIsByteIdenticalWithAndWithoutPruning) {
   TslQuery query = StarQuery(5);
   std::vector<TslQuery> views = PerArmViews(5);
   RewriteOptions options;
-  ExpectParallelMatchesSequential(query, views, options);
+  ExpectMatchesReference(query, views, options);
   options.prune_dominated = false;
-  ExpectParallelMatchesSequential(query, views, options);
+  ExpectMatchesReference(query, views, options);
   options.use_cover_heuristic = false;
-  ExpectParallelMatchesSequential(StarQuery(3), PerArmViews(3), options);
+  ExpectMatchesReference(StarQuery(3), PerArmViews(3), options);
+}
+
+TEST(ParallelRewriteTest, VariableWiringSeparatesSameShapeCandidates) {
+  // The view drops U', so a rewriting may use it for the arm whose value
+  // is joined on nothing (Y) but not for the arm whose value is joined
+  // with the third condition (X, through U). The candidates {V(X), Y-arm,
+  // m-arm} and {X-arm, V(Y), m-arm} have the same condition shapes and
+  // differ only in how their variables are shared — so only the wiring
+  // part of the candidate memo's key tells their verdicts apart.
+  TslQuery query = MustParse(
+      "<f(P) out yes> :- <P r {<X l U>}>@db AND <P r {<Y l V>}>@db AND "
+      "<P r {<Z m U>}>@db",
+      "Q");
+  std::vector<TslQuery> views = {
+      MustParse("<v(P') o {<w(X') k yes>}> :- <P' r {<X' l U'>}>@db", "V")};
+  RewriteOptions options;
+  ExpectMatchesReference(query, views, options);
+  options.prune_dominated = false;
+  ExpectMatchesReference(query, views, options);
 }
 
 TEST(ParallelRewriteTest, TruncationIsByteIdentical) {
@@ -143,49 +164,62 @@ TEST(ParallelRewriteTest, TruncationIsByteIdentical) {
   RewriteOptions options;
   options.prune_dominated = false;
   options.max_candidates = 10;
-  ExpectParallelMatchesSequential(query, views, options);
+  ExpectMatchesReference(query, views, options);
 
   // strict_limits: the ResourceExhausted message embeds
   // candidates_generated, so byte-identical errors require byte-identical
   // counters at the cut.
   options.strict_limits = true;
-  ExpectParallelMatchesSequential(query, views, options);
+  ExpectMatchesReference(query, views, options);
 }
 
 TEST(ParallelRewriteTest, StatefulShouldStopIsByteIdentical) {
   // should_stop is polled on the enumerating thread only, once per emitted
   // candidate in enumeration order — a counting hook therefore fires at
-  // the same candidate on both paths.
+  // the same candidate in the reference and at every parallelism.
   TslQuery query = StarQuery(5);
   std::vector<TslQuery> views = PerArmViews(5);
-  for (size_t workers : {1u, 2u, 8u}) {
-    RewriteOptions options;
-    options.prune_dominated = false;
+  RewriteOptions options;
+  options.prune_dominated = false;
+  size_t polls = 0;
+  options.should_stop = [&polls] { return ++polls > 12; };
+  Result<RewriteResult> reference =
+      testing::ReferenceRewriteQuery(query, views, options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_TRUE(reference->truncated);
+  EXPECT_EQ(reference->candidates_generated, 12u);
+  for (size_t workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(StrCat("parallelism=", workers));
+    polls = 0;
     options.parallelism = workers;
-    size_t polls = 0;
-    options.should_stop = [&polls] { return ++polls > 12; };
     Result<RewriteResult> result = RewriteQuery(query, views, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->truncated);
     EXPECT_EQ(result->candidates_generated, 12u);
+    EXPECT_EQ(RenderRewritings(*reference), RenderRewritings(*result));
+    EXPECT_EQ(reference->candidates_tested, result->candidates_tested);
   }
 }
 
 TEST(ParallelRewriteTest, SharedWorkCountersReportTheSharing) {
   // CL-EXP-CAND shape: all 2^k - 1 candidates compose to α-equivalent rule
   // sets, so at most one verdict per worker is computed from scratch; the
-  // rest must come from the memo. Sequential runs never touch the caches.
+  // rest must come from the memo. Inline, the counts are exact: the first
+  // verdict is computed, every later one is a memo hit, and no batch goes
+  // to a pool.
   TslQuery query = StarQuery(5);
   std::vector<TslQuery> views = PerArmViews(5);
   RewriteOptions options;
   options.prune_dominated = false;
 
   options.parallelism = 1;
-  Result<RewriteResult> sequential = RewriteQuery(query, views, options);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
-  EXPECT_EQ(sequential->chase_cache_hits, 0u);
-  EXPECT_EQ(sequential->equiv_cache_hits, 0u);
-  EXPECT_EQ(sequential->batches_dispatched, 0u);
+  Result<RewriteResult> inline_run = RewriteQuery(query, views, options);
+  ASSERT_TRUE(inline_run.ok()) << inline_run.status();
+  EXPECT_EQ(inline_run->candidates_generated, 31u);
+  EXPECT_EQ(inline_run->candidates_tested, 31u);
+  EXPECT_EQ(inline_run->equiv_cache_hits, inline_run->candidates_tested - 1);
+  EXPECT_EQ(inline_run->chase_cache_hits, 0u);
+  EXPECT_EQ(inline_run->batches_dispatched, 0u);
 
   options.parallelism = 4;
   Result<RewriteResult> parallel = RewriteQuery(query, views, options);
@@ -200,19 +234,17 @@ TEST(ParallelRewriteTest, StressPerArmStarAtHighParallelism) {
   // and the bounded in-flight window all active at once.
   TslQuery query = StarQuery(5);
   std::vector<TslQuery> views = PerArmViews(5);
-  RewriteOptions sequential_options;
-  sequential_options.prune_dominated = false;
-  sequential_options.parallelism = 1;
-  Result<RewriteResult> sequential =
-      RewriteQuery(query, views, sequential_options);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
+  RewriteOptions options;
+  options.prune_dominated = false;
+  Result<RewriteResult> reference =
+      testing::ReferenceRewriteQuery(query, views, options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  options.parallelism = 8;
   for (int round = 0; round < 4; ++round) {
-    RewriteOptions options = sequential_options;
-    options.parallelism = 8;
     Result<RewriteResult> parallel = RewriteQuery(query, views, options);
     ASSERT_TRUE(parallel.ok()) << parallel.status();
-    EXPECT_EQ(RenderRewritings(*sequential), RenderRewritings(*parallel));
-    EXPECT_EQ(sequential->candidates_tested, parallel->candidates_tested);
+    EXPECT_EQ(RenderRewritings(*reference), RenderRewritings(*parallel));
+    EXPECT_EQ(reference->candidates_tested, parallel->candidates_tested);
   }
 }
 

@@ -359,7 +359,7 @@ TEST(QueryServerTest, OverloadIsRejectedWithResourceExhausted) {
 
   QueryServer server(MakeBiblioMediator(), BiblioCatalog(),
                      SmallServer(1, 1),
-                     [gate](VirtualClock*, uint64_t) {
+                     [gate](VirtualClock*, uint64_t, MetricRegistry*) {
                        return std::make_unique<GatedWrapper>(gate);
                      });
 
@@ -473,7 +473,8 @@ TEST(QueryServerTest, ConcurrentAnswersAreIdenticalToSingleThreadedRuns) {
   }
 
   QueryServer server(MakeBiblioMediator(), BiblioCatalog(), options,
-                     [&schedules](VirtualClock* clock, uint64_t seed) {
+                     [&schedules](VirtualClock* clock, uint64_t seed,
+                                  MetricRegistry*) {
                        return std::make_unique<ScriptedWrapper>(seed, clock,
                                                                 schedules);
                      });
