@@ -111,7 +111,7 @@ TEST(ParallelRewriteTest, DtdEnabledRewritingIsByteIdentical) {
   RewriteOptions options;
   options.constraints = &constraints;
   ExpectMatchesReference(MustParse(testing::kQ7),
-                                  {MustParse(testing::kV1, "V1")}, options);
+                         {MustParse(testing::kV1, "V1")}, options);
 }
 
 TEST(ParallelRewriteTest, RandomRuleSetsAreByteIdentical) {
