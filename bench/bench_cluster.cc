@@ -2,7 +2,7 @@
 // canonical-query fingerprints to N QueryServer shards, each with its own
 // thread pool and plan cache. Two claims are measured: (1) on a
 // simulated-RTT workload whose keys spread over the ring, throughput at 4
-// shards is at least 3x the single-shard rate (the --scaling gate holds
+// shards is at least 3x the single-shard rate (the `scaling` gate holds
 // the paired ratio to >= 2.5x); and (2) a rebalance only cools the
 // remapped keys — the retained-key fraction of the ring matches the
 // observed re-hit rate after a resize. CI merges the JSON into
@@ -172,7 +172,7 @@ BENCHMARK(BM_ClusterThroughputVsShards)
 /// BM_ServeResilientOverhead trick): each iteration pushes the same batch
 /// through a 1-shard and a 4-shard cluster, alternating which goes first,
 /// and exports the wall-time ratio as a `scaling` counter.
-/// check_bench_regression --scaling gates it at >= 2.5x — pairing inside
+/// check_bench_regression.py gates it at >= 2.5x — pairing inside
 /// the benchmark is what lets a throughput floor survive CI machine
 /// variance that separately-timed rows could not.
 void BM_ClusterScaling(benchmark::State& state) {

@@ -8,7 +8,7 @@
 // exported as paired counters (`retained`, `warmhit_gain`) from the same
 // iteration, so the gate is immune to machine-speed drift. CI merges the
 // JSON into BENCH_service.json and holds the floors with
-// check_bench_regression.py --retention.
+// check_bench_regression.py's gate table.
 
 #include <benchmark/benchmark.h>
 

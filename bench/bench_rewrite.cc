@@ -78,7 +78,7 @@ void BM_RewriteObserved(benchmark::State& state) {
   // drift of a shared host that block-at-a-time comparison of two
   // benchmark rows cannot — single-pass A/B rows here swing ±20% in
   // either direction, dwarfing the real tax. check_bench_regression
-  // --overhead gates the exported `overhead` ratio at <5%.
+  // gates the exported `overhead` ratio at <5%.
   const int k = static_cast<int>(state.range(0));
   TslQuery query = MakeStarQuery(k);
   std::vector<TslQuery> views = MakePerArmViews(k);
@@ -361,7 +361,7 @@ BENCHMARK(BM_MinimizeRedundantStar)->RangeMultiplier(2)->Range(2, 16);
 // units), and materializes each unit once per execution. BM_EvalIR runs
 // both backends *paired-interleaved* (same discipline as
 // BM_RewriteObserved) and exports the `speedup` ratio that
-// check_bench_regression --speedup gates at >= 1.5x for the full pass
+// check_bench_regression.py gates at >= 1.5x for the full pass
 // stack on the k=7 workload.
 
 /// Star data: \p roots `rec` roots with \p fanout children per arm — one

@@ -262,7 +262,7 @@ ServerOptions ResilientOptions(size_t threads) {
 /// same warm-cache batch through a plain server and a server with
 /// breakers + hedging + an admission deadline, alternating which goes
 /// first, and accumulates the wall times separately.
-/// check_bench_regression --overhead gates the exported ratio at <5% —
+/// check_bench_regression.py gates the exported ratio at <5% —
 /// the acceptance bar for shipping the resilience layer enabled.
 void BM_ServeResilientOverhead(benchmark::State& state) {
   constexpr int kBatch = 16;

@@ -272,11 +272,8 @@ bool BoundVariablesInstantiated(const ObjectPattern& view_head,
 Result<MediatorPlanSet> Mediator::PlanOverViews(
     const TslQuery& query, const std::vector<TslQuery>& views,
     const RewriteOptions& options) const {
-  RewriteOptions rewrite_options = options;
-  rewrite_options.require_total = true;  // every condition must fit some
-                                         // interface
   TSLRW_ASSIGN_OR_RETURN(RewriteResult rewrites,
-                         RewriteQuery(query, views, rewrite_options));
+                         RewriteQuery(query, views, options));
   MediatorPlanSet set;
   set.truncated = rewrites.truncated;
   set.search.candidates_generated = rewrites.candidates_generated;
@@ -333,44 +330,14 @@ Result<MediatorPlanSet> Mediator::PlanOverViews(
   return set;
 }
 
-Result<MediatorPlanSet> Mediator::Plan(const TslQuery& query,
-                                       size_t rewrite_parallelism,
-                                       Tracer* tracer,
-                                       MetricRegistry* metrics,
-                                       const VirtualClock* deadline_clock,
-                                       uint64_t deadline_ticks) const {
-  ExecutionPolicy policy;
-  policy.rewrite_parallelism = rewrite_parallelism;
-  policy.tracer = tracer;
-  policy.metrics = metrics;
-  return SearchPlans(
-      query, PlanningOptions(policy, deadline_clock,
-                             deadline_clock != nullptr ? deadline_ticks : 0));
-}
+namespace {
 
-Result<MediatorPlanSet> Mediator::SearchPlans(
-    const TslQuery& query, const RewriteOptions& options) const {
-  ScopedSpan span(options.tracer, "mediator.plan_search");
-  CountIf(options.metrics, "mediator.plan_searches");
-  Result<MediatorPlanSet> set = PlanOverViews(query, Views(), options);
-  if (set.ok()) {
-    span.Annotate("plans", static_cast<uint64_t>(set->size()));
-    span.Annotate("truncated", set->truncated ? "true" : "false");
-  }
-  return set;
-}
-
-uint64_t Mediator::EffectiveNow(const ExecContext& ctx) {
-  const uint64_t now = ctx.clock->now();
-  const uint64_t overlap = ctx.report->hedge_overlap_ticks;
+uint64_t EffectiveNow(const VirtualClock& clock,
+                      const ExecutionReport* report) {
+  const uint64_t now = clock.now();
+  const uint64_t overlap = report != nullptr ? report->hedge_overlap_ticks : 0;
   return now >= overlap ? now - overlap : 0;
 }
-
-bool Mediator::QueryDeadlineExceeded(const ExecContext& ctx) {
-  return ctx.deadline_ticks > 0 && EffectiveNow(ctx) >= ctx.deadline_ticks;
-}
-
-namespace {
 
 /// The effective end-to-end deadline: the earlier of the per-query retry
 /// budget (relative to now, converted here) and the admission deadline
@@ -388,35 +355,87 @@ uint64_t EffectiveDeadline(const ExecutionPolicy& policy,
 
 }  // namespace
 
-Mediator::ExecFrame::ExecFrame(const ExecutionPolicy& policy,
-                               ExecutionReport* report,
-                               const std::string& answer_name)
-    : catalog_wrapper(policy.metrics), rng(policy.seed) {
-  ctx.wrapper = policy.wrapper != nullptr ? policy.wrapper : &catalog_wrapper;
-  ctx.clock = policy.clock != nullptr ? policy.clock : &local_clock;
-  ctx.rng = &rng;
-  ctx.report = report != nullptr ? report : &local_report;
-  ctx.answer_name = answer_name.empty() ? "answer" : answer_name;
-  ctx.retry = &policy.retry;
-  ctx.deadline_ticks = EffectiveDeadline(policy, ctx.clock);
-  ctx.tracer = policy.tracer;
-  ctx.metrics = policy.metrics;
-  ctx.resilience = policy.resilience;
-  ctx.degrade_on_deadline = policy.degrade_on_deadline &&
-                            policy.allow_degraded;
+RewriteOptions Mediator::SearchOptions(size_t parallelism, Tracer* tracer,
+                                       MetricRegistry* metrics,
+                                       const VirtualClock* clock,
+                                       uint64_t deadline_ticks,
+                                       const ExecutionReport* report) const {
+  RewriteOptions options;
+  options.constraints = constraints_;
+  options.require_total = true;  // only view conditions are executable
+  options.parallelism = parallelism;
+  options.tracer = tracer;
+  options.metrics = metrics;
+  // The index declines any view set it was not compiled for (CoversViews),
+  // so replans over live-view subsets and the degraded fallback take the
+  // full scan automatically and stay byte-identical.
+  options.view_index = catalog_index_.get();
+  if (clock != nullptr && deadline_ticks > 0) {
+    options.should_stop = [clock, deadline_ticks, report] {
+      return EffectiveNow(*clock, report) >= deadline_ticks;
+    };
+  }
+  return options;
+}
+
+Result<MediatorPlanSet> Mediator::Plan(const TslQuery& query,
+                                       size_t rewrite_parallelism,
+                                       Tracer* tracer,
+                                       MetricRegistry* metrics,
+                                       const VirtualClock* deadline_clock,
+                                       uint64_t deadline_ticks) const {
+  return Plan(query, SearchOptions(rewrite_parallelism, tracer, metrics,
+                                   deadline_clock, deadline_ticks, nullptr));
+}
+
+Result<MediatorPlanSet> Mediator::Plan(const TslQuery& query,
+                                       const RewriteOptions& options) const {
+  ScopedSpan span(options.tracer, "mediator.plan_search");
+  CountIf(options.metrics, "mediator.plan_searches");
+  Result<MediatorPlanSet> set = PlanOverViews(query, Views(), options);
+  if (set.ok()) {
+    span.Annotate("plans", static_cast<uint64_t>(set->size()));
+    span.Annotate("truncated", set->truncated ? "true" : "false");
+  }
+  return set;
+}
+
+Mediator::Frame::Frame(const Mediator& mediator, const ExecutionPolicy& p,
+                       const std::string& name)
+    : policy(p),
+      catalog_wrapper(p.metrics),
+      wrapper(p.wrapper != nullptr ? p.wrapper : &catalog_wrapper),
+      clock(p.clock != nullptr ? p.clock : &local_clock),
+      rng(p.seed),
+      answer_name(name.empty() ? "answer" : name),
+      deadline_ticks(EffectiveDeadline(p, clock)),
+      degrade_on_deadline(p.degrade_on_deadline && p.allow_degraded),
+      search(mediator.SearchOptions(p.rewrite_parallelism, p.tracer,
+                                    p.metrics, clock, deadline_ticks,
+                                    &report)) {
+  search.strict_limits = p.strict;
+}
+
+uint64_t Mediator::Frame::Now() const { return EffectiveNow(*clock, &report); }
+
+bool Mediator::Frame::Expired() const {
+  return deadline_ticks > 0 && Now() >= deadline_ticks;
 }
 
 Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
                                                const SourceCatalog& catalog,
-                                               const ExecContext& ctx) const {
+                                               Frame& frame) const {
+  const ExecutionPolicy& policy = frame.policy;
+  MetricRegistry* metrics = policy.metrics;
+  ExecutionReport& report = frame.report;
   const std::string& view_name = capability.view.name;
   std::string source;
   FindCapability(view_name, &source);
-  FetchRecord* record = ctx.report->RecordFor(source, view_name);
-  ScopedSpan fetch_span(ctx.tracer, "mediator.fetch");
+  FetchRecord* record = report.RecordFor(source, view_name);
+  ScopedSpan fetch_span(policy.tracer, "mediator.fetch");
   fetch_span.Annotate("view", view_name);
   fetch_span.Annotate("source", source);
-  ResilienceRegistry* res = ctx.resilience;
+  ResilienceRegistry* res = policy.resilience;
 
   // Feeds a fetch outcome back into the shared registry (breaker windows
   // and hedge-latency history) and surfaces any state transition.
@@ -427,11 +446,11 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
                             : res->RecordFailure(endpoint);
     if (event.opened) {
       fetch_span.Event(StrCat("breaker opened: ", endpoint));
-      CountIf(ctx.metrics, "breaker.opened");
+      CountIf(metrics, "breaker.opened");
     }
     if (event.closed) {
       fetch_span.Event(StrCat("breaker closed: ", endpoint));
-      CountIf(ctx.metrics, "breaker.closed");
+      CountIf(metrics, "breaker.closed");
     }
   };
 
@@ -442,16 +461,16 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
     BreakerDecision decision = res->Admit(view_name);
     if (decision.half_opened) {
       fetch_span.Event(StrCat("breaker half-open: ", view_name));
-      CountIf(ctx.metrics, "breaker.half_opened");
+      CountIf(metrics, "breaker.half_opened");
     }
     if (!decision.allowed) {
       // Short-circuit: the endpoint is known dead; spend no attempts, no
       // backoff, and no deadline budget on it. Unavailable routes the view
       // into the regular dead-view failover/degraded path.
       record->short_circuited = true;
-      ++ctx.report->breaker_short_circuits;
+      ++report.breaker_short_circuits;
       fetch_span.Annotate("short_circuited", "true");
-      CountIf(ctx.metrics, "breaker.short_circuits");
+      CountIf(metrics, "breaker.short_circuits");
       return Status::Unavailable(StrCat("circuit breaker open for view ",
                                         view_name, " of source ", source));
     }
@@ -459,10 +478,10 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
 
   // A reply that arrived after the caller stopped listening is a timeout,
   // not a success, however complete the data was.
-  auto call_outcome = [&ctx](const Result<WrapperResult>& reply,
-                            uint64_t elapsed, const char* what,
-                            const std::string& name) {
-    const uint64_t limit = ctx.retry->per_call_deadline_ticks;
+  auto call_outcome = [&policy](const Result<WrapperResult>& reply,
+                                uint64_t elapsed, const char* what,
+                                const std::string& name) {
+    const uint64_t limit = policy.retry.per_call_deadline_ticks;
     if (!reply.ok()) return reply.status();
     if (limit == 0 || elapsed <= limit) return Status::OK();
     return Status::DeadlineExceeded(
@@ -479,28 +498,28 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
   }
   bool hedged = false;
 
-  const size_t max_attempts = std::max<size_t>(ctx.retry->max_attempts, 1);
+  const size_t max_attempts = std::max<size_t>(policy.retry.max_attempts, 1);
   Status last = Status::Unavailable(
       StrCat("source ", source, " unreachable"));
   for (size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (QueryDeadlineExceeded(ctx)) {
+    if (frame.Expired()) {
       fetch_span.Event("query deadline exceeded before attempt");
-      CountIf(ctx.metrics, "mediator.fetch_deadline_aborts");
+      CountIf(metrics, "mediator.fetch_deadline_aborts");
       return Status::DeadlineExceeded(
-          StrCat("request deadline (t=", ctx.deadline_ticks,
+          StrCat("request deadline (t=", frame.deadline_ticks,
                  ") exceeded before attempt ", attempt, " against ",
                  source));
     }
-    const uint64_t started = ctx.clock->now();
+    const uint64_t started = frame.clock->now();
     // The hedge trigger is fixed *before* the primary is issued (as a live
     // system would arm a timer): the primary's own latency must not move
     // the percentile that decides whether to hedge it.
     const uint64_t hedge_delay =
         partners != nullptr ? res->HedgeDelayTicks(view_name) : 0;
-    CountIf(ctx.metrics, "mediator.fetch_attempts");
-    if (attempt > 1) CountIf(ctx.metrics, "mediator.retries");
-    Result<WrapperResult> fetched = ctx.wrapper->Fetch(capability, catalog);
-    const uint64_t elapsed = ctx.clock->now() - started;
+    CountIf(metrics, "mediator.fetch_attempts");
+    if (attempt > 1) CountIf(metrics, "mediator.retries");
+    Result<WrapperResult> fetched = frame.wrapper->Fetch(capability, catalog);
+    const uint64_t elapsed = frame.clock->now() - started;
     Status outcome = call_outcome(fetched, elapsed, "view ", view_name);
     record->attempts.push_back(AttemptRecord{started, outcome, 0});
     fetch_span.Event(StrCat("attempt ", attempt, ": ",
@@ -523,7 +542,7 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
         const Capability* candidate = FindCapability(partner_name);
         if (candidate == nullptr) continue;
         if (res->breakers_enabled() && !res->Admit(partner_name).allowed) {
-          CountIf(ctx.metrics, "breaker.short_circuits");
+          CountIf(metrics, "breaker.short_circuits");
           continue;  // the backup endpoint is known dead too
         }
         partner_cap = candidate;
@@ -532,25 +551,24 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
       if (partner_cap != nullptr) {
         hedged = true;
         const std::string& partner_name = partner_cap->view.name;
-        ++ctx.report->hedges_issued;
+        ++report.hedges_issued;
         fetch_span.Event(StrCat("hedge issued -> ", partner_name, " (delay ",
                                 hedge_delay, ")"));
-        CountIf(ctx.metrics, "mediator.hedges_issued");
-        const uint64_t backup_started = ctx.clock->now();
-        Result<WrapperResult> backup = ctx.wrapper->Fetch(*partner_cap,
-                                                          catalog);
+        CountIf(metrics, "mediator.hedges_issued");
+        const uint64_t backup_started = frame.clock->now();
+        Result<WrapperResult> backup =
+            frame.wrapper->Fetch(*partner_cap, catalog);
         // Partner views are α-equivalent over the same source, so the
         // materialized bytes are the answer's either way; evaluation looks
         // the data up under the primary view's name.
         if (backup.ok()) backup->data.set_name(view_name);
-        const uint64_t backup_elapsed = ctx.clock->now() - backup_started;
+        const uint64_t backup_elapsed = frame.clock->now() - backup_started;
         const Status backup_outcome = call_outcome(
             backup, backup_elapsed, "hedge to view ", partner_name);
-        FetchRecord* partner_record =
-            ctx.report->RecordFor(source, partner_name);
+        FetchRecord* partner_record = report.RecordFor(source, partner_name);
         // RecordFor may grow the fetches vector; the primary's record
         // pointer from the loop head is invalid past this point.
-        record = ctx.report->RecordFor(source, view_name);
+        record = report.RecordFor(source, view_name);
         partner_record->attempts.push_back(
             AttemptRecord{backup_started, backup_outcome, 0});
         partner_record->succeeded =
@@ -570,13 +588,12 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
         if (!outcome.ok() && !backup_outcome.ok()) {
           completion = std::max(elapsed, backup_done);
         }
-        ctx.report->hedge_overlap_ticks +=
-            (elapsed + backup_elapsed) - completion;
+        report.hedge_overlap_ticks += (elapsed + backup_elapsed) - completion;
         if (backup_wins) {
-          ++ctx.report->hedge_wins;
+          ++report.hedge_wins;
           record->hedged_to = partner_name;
           fetch_span.Event(StrCat("hedge won: ", partner_name));
-          CountIf(ctx.metrics, "mediator.hedge_wins");
+          CountIf(metrics, "mediator.hedge_wins");
           fetched = std::move(backup);
           outcome = backup_outcome;
         } else {
@@ -590,163 +607,155 @@ Result<WrapperResult> Mediator::FetchWithRetry(const Capability& capability,
       record->truncated = record->truncated || !fetched->complete;
       if (!fetched->complete) {
         fetch_span.Annotate("truncated", "true");
-        CountIf(ctx.metrics, "mediator.fetches_truncated");
+        CountIf(metrics, "mediator.fetches_truncated");
       }
-      CountIf(ctx.metrics, "mediator.fetches_ok");
-      ObserveIf(ctx.metrics, "mediator.fetch_attempts_per_call", attempt);
+      CountIf(metrics, "mediator.fetches_ok");
+      ObserveIf(metrics, "mediator.fetch_attempts_per_call", attempt);
       return fetched;
     }
     last = outcome;
     if (!IsRetryableFailure(outcome)) {
-      CountIf(ctx.metrics, "mediator.fetch_permanent_failures");
+      CountIf(metrics, "mediator.fetch_permanent_failures");
       return outcome;
     }
     if (attempt < max_attempts) {
-      uint64_t backoff = ctx.retry->BackoffAfterAttempt(attempt, ctx.rng);
-      if (ctx.deadline_ticks > 0) {
+      uint64_t backoff = policy.retry.BackoffAfterAttempt(attempt, &frame.rng);
+      if (frame.deadline_ticks > 0) {
         // Never sleep past the request deadline: a zero or expired budget
         // fails fast at the next loop head without waiting at all, and a
         // nearly-spent one waits only the remainder.
         backoff = std::min(
-            backoff, RemainingTicks(EffectiveNow(ctx), ctx.deadline_ticks));
+            backoff, RemainingTicks(frame.Now(), frame.deadline_ticks));
       }
       if (backoff > 0) {
-        ctx.clock->Advance(backoff);
+        frame.clock->Advance(backoff);
         record->attempts.back().backoff_ticks = backoff;
-        ctx.report->backoff_ticks_total += backoff;
+        report.backoff_ticks_total += backoff;
         fetch_span.Event(StrCat("backoff ", backoff, " tick(s)"));
-        CountIf(ctx.metrics, "mediator.backoff_ticks", backoff);
+        CountIf(metrics, "mediator.backoff_ticks", backoff);
       }
     }
   }
   fetch_span.Annotate("exhausted", "true");
-  CountIf(ctx.metrics, "mediator.fetches_exhausted");
+  CountIf(metrics, "mediator.fetches_exhausted");
   return last;
 }
 
-Result<Mediator::PlanExecution> Mediator::RunPlan(
-    const MediatorPlan& plan, const SourceCatalog& catalog,
-    const ExecContext& ctx, std::string* failed_view) const {
-  failed_view->clear();
-  SourceCatalog view_results;
-  PlanExecution exec;
-  for (const std::string& view_name : plan.views_used) {
+struct Mediator::FetchedViews {
+  SourceCatalog results;
+  bool any_truncated = false;
+};
+
+Result<Mediator::FetchedViews> Mediator::FetchViews(
+    const std::vector<std::string>& views, const SourceCatalog& catalog,
+    Frame& frame, std::set<std::string>* dead, std::string* died) const {
+  FetchedViews fetched;
+  for (const std::string& view_name : views) {
+    if (dead->count(view_name) > 0) continue;
     const Capability* cap = FindCapability(view_name);
     if (cap == nullptr) {
       return Status::NotFound(StrCat("unknown capability view ", view_name));
     }
-    Result<WrapperResult> fetched = FetchWithRetry(*cap, catalog, ctx);
-    if (!fetched.ok()) {
-      if (IsRetryableFailure(fetched.status())) {
-        *failed_view = view_name;
-      }
-      return fetched.status();
+    Result<WrapperResult> result = FetchWithRetry(*cap, catalog, frame);
+    if (result.ok()) {
+      fetched.any_truncated = fetched.any_truncated || !result->complete;
+      fetched.results.Put(std::move(result->data));
+      continue;
     }
-    exec.any_truncated = exec.any_truncated || !fetched->complete;
-    view_results.Put(std::move(fetched->data));
+    // An exhausted budget behaves like a dead endpoint: the plan fails over
+    // or the union drops the rules needing this view, and soundness holds.
+    // With degrade_on_deadline off, a deadline failure still aborts.
+    if (!IsRetryableFailure(result.status()) ||
+        (frame.Expired() && !frame.degrade_on_deadline)) {
+      return result.status();
+    }
+    dead->insert(view_name);
+    if (died != nullptr) {
+      *died = view_name;
+      return result.status();
+    }
   }
+  return fetched;
+}
+
+Result<DegradedAnswer> Mediator::RunPlan(const MediatorPlan& plan,
+                                         const SourceCatalog& catalog,
+                                         Frame& frame,
+                                         std::set<std::string>* dead,
+                                         std::string* died) const {
+  TSLRW_ASSIGN_OR_RETURN(FetchedViews fetched,
+                         FetchViews(plan.views_used, catalog, frame, dead,
+                                    died));
   // Collect + consolidate at the mediator: evaluate the rewriting over the
   // wrapper results (fusion merges per-source fragments by oid).
-  TSLRW_ASSIGN_OR_RETURN(
-      exec.answer,
-      ExecuteRules(TslRuleSet::Single(plan.rewriting), view_results, ctx));
-  return exec;
+  DegradedAnswer answer;
+  TSLRW_ASSIGN_OR_RETURN(answer.result,
+                         ExecuteRules(TslRuleSet::Single(plan.rewriting),
+                                      fetched.results, frame));
+  answer.completeness = fetched.any_truncated ? Completeness::kPartial
+                                              : Completeness::kComplete;
+  return answer;
 }
 
 Result<OemDatabase> Mediator::ExecuteRules(const TslRuleSet& rules,
                                            const SourceCatalog& view_results,
-                                           const ExecContext& ctx) {
+                                           const Frame& frame) {
   std::shared_ptr<const IrProgram> program;
   {
-    ScopedSpan compile_span(ctx.tracer, "plan.compile");
-    PlanCompiler compiler(IrPassOptions{}, ctx.metrics);
+    ScopedSpan compile_span(frame.policy.tracer, "plan.compile");
+    PlanCompiler compiler(IrPassOptions{}, frame.policy.metrics);
     TSLRW_ASSIGN_OR_RETURN(program, compiler.Compile(rules));
     compile_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
   }
-  ScopedSpan exec_span(ctx.tracer, "plan.exec_ir");
+  ScopedSpan exec_span(frame.policy.tracer, "plan.exec_ir");
   exec_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
   IrExecOptions ir;
-  ir.answer_name = ctx.answer_name;
-  ir.metrics = ctx.metrics;
+  ir.answer_name = frame.answer_name;
+  ir.metrics = frame.policy.metrics;
   return ExecuteIr(*program, view_results, ir);
 }
 
 Result<OemDatabase> Mediator::Execute(const MediatorPlan& plan,
                                       const SourceCatalog& catalog) const {
-  return Execute(plan, catalog, ExecutionPolicy{}, nullptr);
-}
-
-Result<OemDatabase> Mediator::Execute(const MediatorPlan& plan,
-                                      const SourceCatalog& catalog,
-                                      const ExecutionPolicy& policy,
-                                      ExecutionReport* report) const {
-  ExecFrame frame(policy, report, plan.rewriting.name);
-  const ExecContext& ctx = frame.ctx;
-  ++ctx.report->plans_attempted;
-  CountIf(ctx.metrics, "mediator.plans_attempted");
-  std::string failed_source;
-  TSLRW_ASSIGN_OR_RETURN(PlanExecution exec,
-                         RunPlan(plan, catalog, ctx, &failed_source));
-  ctx.report->completeness = exec.any_truncated ? Completeness::kPartial
-                                                : Completeness::kComplete;
-  ctx.report->finished_at_ticks = EffectiveNow(ctx);
-  return std::move(exec.answer);
-}
-
-RewriteOptions Mediator::PlanningOptions(const ExecutionPolicy& policy,
-                                         const VirtualClock* clock,
-                                         uint64_t deadline_ticks) const {
-  RewriteOptions options;
-  options.constraints = constraints_;
-  options.strict_limits = policy.strict;
-  options.parallelism = policy.rewrite_parallelism;
-  options.tracer = policy.tracer;
-  options.metrics = policy.metrics;
-  // The index declines any view set it was not compiled for (CoversViews),
-  // so replans over live-view subsets and the degraded fallback take the
-  // full scan automatically and stay byte-identical.
-  options.view_index = catalog_index_.get();
-  if (deadline_ticks > 0) {
-    options.should_stop = [clock, deadline_ticks] {
-      return clock->now() >= deadline_ticks;
-    };
-  }
-  return options;
+  const ExecutionPolicy policy;
+  Frame frame(*this, policy, plan.rewriting.name);
+  std::set<std::string> dead;
+  std::string died;
+  TSLRW_ASSIGN_OR_RETURN(DegradedAnswer answer,
+                         RunPlan(plan, catalog, frame, &dead, &died));
+  return std::move(answer.result);
 }
 
 Result<DegradedAnswer> Mediator::Answer(const TslQuery& query,
                                         const SourceCatalog& catalog,
                                         const ExecutionPolicy& policy) const {
-  // One clock spans planning and execution, so a per-query deadline covers
-  // the whole Answer (it only advances on backoff waits and slow-source
-  // faults, so AnswerWithPlans recomputes the same deadline tick).
-  VirtualClock local_clock;
-  ExecutionPolicy effective = policy;
-  if (effective.clock == nullptr) effective.clock = &local_clock;
-  TSLRW_ASSIGN_OR_RETURN(
-      MediatorPlanSet plans,
-      SearchPlans(query,
-                  PlanningOptions(effective, effective.clock,
-                                  EffectiveDeadline(effective,
-                                                    effective.clock))));
-  return AnswerWithPlans(query, plans, catalog, effective);
+  // One frame spans planning and execution, so a per-query deadline covers
+  // the whole Answer.
+  Frame frame(*this, policy, query.name);
+  TSLRW_ASSIGN_OR_RETURN(MediatorPlanSet plans, Plan(query, frame.search));
+  return AnswerInFrame(query, plans, catalog, frame);
 }
 
 Result<DegradedAnswer> Mediator::AnswerWithPlans(
     const TslQuery& query, const MediatorPlanSet& plans,
     const SourceCatalog& catalog, const ExecutionPolicy& policy) const {
-  ExecFrame frame(policy, nullptr, query.name);
-  const ExecContext& ctx = frame.ctx;
-  ExecutionReport& report = frame.local_report;
-  ScopedSpan answer_span(ctx.tracer, "mediator.answer");
-  answer_span.Annotate("plans", static_cast<uint64_t>(plans.size()));
-  CountIf(ctx.metrics, "mediator.answers");
+  Frame frame(*this, policy, query.name);
+  return AnswerInFrame(query, plans, catalog, frame);
+}
 
-  // Options for the failover re-plan over live views; also where a strict
-  // caller learns that a cached plan list was itself truncated (Answer
-  // would have failed inside the initial search).
-  RewriteOptions plan_options =
-      PlanningOptions(policy, ctx.clock, ctx.deadline_ticks);
+Result<DegradedAnswer> Mediator::AnswerInFrame(const TslQuery& query,
+                                               const MediatorPlanSet& plans,
+                                               const SourceCatalog& catalog,
+                                               Frame& frame) const {
+  const ExecutionPolicy& policy = frame.policy;
+  MetricRegistry* metrics = policy.metrics;
+  ExecutionReport& report = frame.report;
+  ScopedSpan answer_span(policy.tracer, "mediator.answer");
+  answer_span.Annotate("plans", static_cast<uint64_t>(plans.size()));
+  CountIf(metrics, "mediator.answers");
+
+  // A strict caller learns here that a cached plan list was itself
+  // truncated (Answer would have failed inside the initial search).
   report.plan_search_truncated = plans.truncated;
   report.plan_search = plans.search;
   if (policy.strict && plans.truncated) {
@@ -754,23 +763,23 @@ Result<DegradedAnswer> Mediator::AnswerWithPlans(
         "plan search was truncated and strict mode forbids serving from a "
         "shortened plan list");
   }
+  // Set when the request deadline expired and degrade_on_deadline routes
+  // the rest of the request into §7 instead of erroring out.
+  bool deadline_hit = false;
   if (plans.empty()) {
-    if (plans.truncated && QueryDeadlineExceeded(ctx)) {
-      // The plan search itself was cut short by the request deadline: the
-      // absence of plans is budget exhaustion, not "no plan exists" — fall
-      // into §7 rather than report a (possibly wrong) NotFound, or, with
-      // degradation disabled, fail fast with the honest status.
-      if (ctx.degrade_on_deadline) {
-        report.deadline_degraded = true;
-        CountIf(ctx.metrics, "mediator.deadline_degraded");
-        answer_span.Annotate("completeness", "deadline-degraded");
-        return DegradedFallback(query, catalog, ctx, {}, std::move(report));
-      }
+    if (!plans.truncated || !frame.Expired()) {
+      return Status::NotFound(
+          "no capability-conformant plan answers this query");
+    }
+    // The plan search itself was cut short by the request deadline: the
+    // absence of plans is budget exhaustion, not "no plan exists" — fall
+    // into §7 rather than report a (possibly wrong) NotFound, or, with
+    // degradation disabled, fail fast with the honest status.
+    if (!frame.degrade_on_deadline) {
       return Status::DeadlineExceeded(
           "request deadline expired during plan search");
     }
-    return Status::NotFound(
-        "no capability-conformant plan answers this query");
+    deadline_hit = true;
   }
 
   // Liveness is tracked per capability view — one wrapper endpoint each —
@@ -780,10 +789,6 @@ Result<DegradedAnswer> Mediator::AnswerWithPlans(
   std::set<std::string> dead;
   Status last_failure;
   std::optional<DegradedAnswer> answered;
-  // Set when the request deadline expired mid-execution and
-  // degrade_on_deadline routes the rest of the request into §7 instead of
-  // erroring out.
-  bool deadline_hit = false;
   // Failover loop: walk a cheapest-first plan list, skipping plans that
   // touch a view already declared dead. Returns non-OK only on hard
   // (non-failover) errors; "list exhausted" is OK with `answered` unset.
@@ -798,49 +803,41 @@ Result<DegradedAnswer> Mediator::AnswerWithPlans(
       }
       if (touches_dead) {
         ++report.plans_skipped;
-        CountIf(ctx.metrics, "mediator.plans_skipped");
+        CountIf(metrics, "mediator.plans_skipped");
         answer_span.Event(
             StrCat("plan ", plan.rewriting.name, " skipped: dead view"));
         continue;
       }
-      if (QueryDeadlineExceeded(ctx)) {
-        if (ctx.degrade_on_deadline) {
+      if (frame.Expired()) {
+        if (frame.degrade_on_deadline) {
           deadline_hit = true;
           return Status::OK();  // stop attempting; degrade below
         }
         return Status::DeadlineExceeded(
-            StrCat("request deadline (t=", ctx.deadline_ticks,
+            StrCat("request deadline (t=", frame.deadline_ticks,
                    ") exceeded during plan failover"));
       }
       ++report.plans_attempted;
-      CountIf(ctx.metrics, "mediator.plans_attempted");
-      ScopedSpan attempt_span(ctx.tracer, "mediator.plan_attempt");
+      CountIf(metrics, "mediator.plans_attempted");
+      ScopedSpan attempt_span(policy.tracer, "mediator.plan_attempt");
       attempt_span.Annotate("plan", plan.rewriting.name);
       attempt_span.Annotate("cost", static_cast<uint64_t>(plan.cost));
-      std::string failed_view;
-      Result<PlanExecution> run = RunPlan(plan, catalog, ctx, &failed_view);
+      std::string died;
+      Result<DegradedAnswer> run = RunPlan(plan, catalog, frame, &dead, &died);
       if (run.ok()) {
         attempt_span.Annotate("outcome", "ok");
-        DegradedAnswer answer;
-        answer.result = std::move(run->answer);
-        answer.completeness = run->any_truncated ? Completeness::kPartial
-                                                 : Completeness::kComplete;
-        answered = std::move(answer);
+        answered = std::move(run).value();
         return Status::OK();
       }
-      if (!failed_view.empty() && !QueryDeadlineExceeded(ctx)) {
-        dead.insert(failed_view);
-        last_failure = run.status();
-        attempt_span.Annotate("outcome",
-                              StrCat("failover: view ", failed_view, " dead"));
-        CountIf(ctx.metrics, "mediator.failovers");
-        continue;  // failover: try the next plan
-      }
-      if (QueryDeadlineExceeded(ctx) && ctx.degrade_on_deadline) {
-        if (!failed_view.empty()) {
-          dead.insert(failed_view);
-          last_failure = run.status();
+      if (!died.empty()) last_failure = run.status();
+      if (!frame.Expired()) {
+        if (!died.empty()) {
+          attempt_span.Annotate("outcome",
+                                StrCat("failover: view ", died, " dead"));
+          CountIf(metrics, "mediator.failovers");
+          continue;  // failover: try the next plan
         }
+      } else if (frame.degrade_on_deadline) {
         attempt_span.Annotate("outcome", "deadline");
         deadline_hit = true;
         return Status::OK();  // stop attempting; degrade below
@@ -861,13 +858,12 @@ Result<DegradedAnswer> Mediator::AnswerWithPlans(
     const std::vector<TslQuery> live_views = Views(dead);
     if (!live_views.empty()) {
       report.replanned = true;
-      CountIf(ctx.metrics, "mediator.replans");
-      ScopedSpan replan_span(ctx.tracer, "mediator.replan");
+      CountIf(metrics, "mediator.replans");
+      ScopedSpan replan_span(policy.tracer, "mediator.replan");
       replan_span.Annotate("live_views",
                            static_cast<uint64_t>(live_views.size()));
-      TSLRW_ASSIGN_OR_RETURN(
-          MediatorPlanSet replanned,
-          PlanOverViews(query, live_views, plan_options));
+      TSLRW_ASSIGN_OR_RETURN(MediatorPlanSet replanned,
+                             PlanOverViews(query, live_views, frame.search));
       replan_span.Annotate("plans", static_cast<uint64_t>(replanned.size()));
       replan_span.EndNow();
       report.plan_search_truncated =
@@ -881,69 +877,62 @@ Result<DegradedAnswer> Mediator::AnswerWithPlans(
     report.failover = report.plans_attempted + report.plans_skipped > 1;
     report.completeness = answered->completeness;
     report.unreachable_sources = SourcesOfViews(dead);
-    report.finished_at_ticks = EffectiveNow(ctx);
+    report.finished_at_ticks = frame.Now();
     answered->unreachable_sources = report.unreachable_sources;
     answer_span.Annotate("completeness",
                          CompletenessToString(answered->completeness));
     if (report.failover) {
       answer_span.Annotate("failover", "true");
-      CountIf(ctx.metrics, "mediator.answers_with_failover");
+      CountIf(metrics, "mediator.answers_with_failover");
     }
-    CountIf(ctx.metrics,
-            answered->completeness == Completeness::kComplete
-                ? "mediator.answers_complete"
-                : "mediator.answers_partial");
+    CountIf(metrics, answered->completeness == Completeness::kComplete
+                         ? "mediator.answers_complete"
+                         : "mediator.answers_partial");
     answered->report = std::move(report);
     return std::move(*answered);
   }
 
   if (deadline_hit) {
-    // Budget exhausted mid-request: whatever is still reachable within §7
-    // becomes the answer (possibly empty), graded kDegraded — a resilient
-    // server answers late-budget requests with less, not with an error.
+    // Budget exhausted before or during the request: whatever is still
+    // reachable within §7 becomes the answer (possibly empty), graded
+    // kDegraded — a resilient server answers late-budget requests with
+    // less, not with an error.
     report.deadline_degraded = true;
-    CountIf(ctx.metrics, "mediator.deadline_degraded");
+    CountIf(metrics, "mediator.deadline_degraded");
     answer_span.Annotate("completeness", "deadline-degraded");
-    return DegradedFallback(query, catalog, ctx, std::move(dead),
+    return DegradedFallback(query, catalog, frame, std::move(dead),
                             std::move(report));
   }
   if (!policy.allow_degraded) {
     answer_span.Annotate("completeness", "refused");
-    CountIf(ctx.metrics, "mediator.answers_refused");
+    CountIf(metrics, "mediator.answers_refused");
     return last_failure.ok()
                ? Status::Unavailable("every total plan touches a dead source")
                : last_failure;
   }
   answer_span.Annotate("completeness", "degraded-fallback");
-  return DegradedFallback(query, catalog, ctx, std::move(dead),
+  return DegradedFallback(query, catalog, frame, std::move(dead),
                           std::move(report));
 }
 
 Result<DegradedAnswer> Mediator::DegradedFallback(
-    const TslQuery& query, const SourceCatalog& catalog,
-    const ExecContext& ctx, std::set<std::string> dead,
-    ExecutionReport report) const {
+    const TslQuery& query, const SourceCatalog& catalog, Frame& frame,
+    std::set<std::string> dead, ExecutionReport report) const {
   // \S7's escape hatch: no total plan survives, but the live views still
   // admit sound, maximally-contained answers — return their union instead
   // of nothing.
-  ScopedSpan degraded_span(ctx.tracer, "mediator.degraded_fallback");
-  CountIf(ctx.metrics, "mediator.degraded_fallbacks");
+  const ExecutionPolicy& policy = frame.policy;
+  ScopedSpan degraded_span(policy.tracer, "mediator.degraded_fallback");
+  CountIf(policy.metrics, "mediator.degraded_fallbacks");
   const std::vector<TslQuery> live_views = Views(dead);
   ContainedRewritingResult contained;
   if (!live_views.empty()) {
-    RewriteOptions options;
-    options.constraints = constraints_;
-    options.require_total = true;  // only view conditions are executable
-    if (ctx.deadline_ticks > 0) {
-      const VirtualClock* clock = ctx.clock;
-      const uint64_t deadline = ctx.deadline_ticks;
-      options.should_stop = [clock, deadline] {
-        return clock->now() >= deadline;
-      };
-    }
+    // strict_limits stays off: it would turn a truncated search into
+    // ResourceExhausted, where a smaller union is still a sound answer.
+    RewriteOptions options = frame.search;
+    options.strict_limits = false;
     TSLRW_ASSIGN_OR_RETURN(
-        contained, FindMaximallyContainedRewriting(query, live_views,
-                                                   options));
+        contained, FindMaximallyContainedRewriting(query, live_views, options));
   }
 
   // Fetch each view the contained rules need, once; sources that die here
@@ -952,35 +941,16 @@ Result<DegradedAnswer> Mediator::DegradedFallback(
   for (const TslQuery& rule : contained.rewriting.rules) {
     for (const Condition& c : rule.body) needed.insert(c.source);
   }
-  SourceCatalog view_results;
-  std::set<std::string> fetched;
-  bool any_truncated = false;
-  for (const std::string& view_name : needed) {
-    const Capability* cap = FindCapability(view_name);
-    if (cap == nullptr || dead.count(view_name) > 0) continue;
-    Result<WrapperResult> result = FetchWithRetry(*cap, catalog, ctx);
-    if (result.ok()) {
-      any_truncated = any_truncated || !result->complete;
-      view_results.Put(std::move(result->data));
-      fetched.insert(view_name);
-      continue;
-    }
-    if (IsRetryableFailure(result.status()) &&
-        (!QueryDeadlineExceeded(ctx) || ctx.degrade_on_deadline)) {
-      // An exhausted budget behaves like a dead endpoint here: the rules
-      // needing this view drop out of the union and soundness holds. With
-      // degrade_on_deadline off, a deadline failure still aborts.
-      dead.insert(view_name);
-      continue;
-    }
-    return result.status();
-  }
+  TSLRW_ASSIGN_OR_RETURN(
+      FetchedViews fetched,
+      FetchViews({needed.begin(), needed.end()}, catalog, frame, &dead,
+                 /*died=*/nullptr));
   TslRuleSet live_rules;
   bool dropped_rules = false;
   for (const TslQuery& rule : contained.rewriting.rules) {
     bool live = true;
     for (const Condition& c : rule.body) {
-      if (fetched.count(c.source) == 0) {
+      if (dead.count(c.source) > 0) {
         live = false;
         break;
       }
@@ -992,23 +962,23 @@ Result<DegradedAnswer> Mediator::DegradedFallback(
     }
   }
 
-  OemDatabase result(ctx.answer_name);
+  OemDatabase result(frame.answer_name);
   if (!live_rules.rules.empty()) {
     TSLRW_ASSIGN_OR_RETURN(result,
-                           ExecuteRules(live_rules, view_results, ctx));
+                           ExecuteRules(live_rules, fetched.results, frame));
   }
   DegradedAnswer answer;
   answer.result = std::move(result);
   // The union can still be equivalent to the query (several contained
   // rules covering it together) — then nothing was actually lost.
   bool provably_complete = contained.equivalent && !dropped_rules &&
-                           !any_truncated && !contained.truncated;
+                           !fetched.any_truncated && !contained.truncated;
   answer.completeness = provably_complete ? Completeness::kComplete
                                           : Completeness::kDegraded;
   answer.unreachable_sources = SourcesOfViews(dead);
   report.completeness = answer.completeness;
   report.unreachable_sources = answer.unreachable_sources;
-  report.finished_at_ticks = EffectiveNow(ctx);
+  report.finished_at_ticks = frame.Now();
   degraded_span.Annotate("contained_rules",
                          static_cast<uint64_t>(
                              contained.rewriting.rules.size()));
@@ -1016,9 +986,9 @@ Result<DegradedAnswer> Mediator::DegradedFallback(
                          static_cast<uint64_t>(live_rules.rules.size()));
   degraded_span.Annotate("completeness",
                          CompletenessToString(answer.completeness));
-  CountIf(ctx.metrics, answer.completeness == Completeness::kComplete
-                           ? "mediator.answers_complete"
-                           : "mediator.answers_degraded");
+  CountIf(policy.metrics, answer.completeness == Completeness::kComplete
+                              ? "mediator.answers_complete"
+                              : "mediator.answers_degraded");
   answer.report = std::move(report);
   return answer;
 }

@@ -209,20 +209,11 @@ class Mediator {
 
   /// Executes a plan: sends each used capability view to its wrapper, then
   /// evaluates the rewriting over the collected results and consolidates
-  /// them (the fusion step of \S1's running example). The two-argument form
-  /// runs the built-in CatalogWrapper with no retries — the original
-  /// synchronous behavior.
+  /// them (the fusion step of \S1's running example). Runs the built-in
+  /// CatalogWrapper with no retries — the original synchronous behavior;
+  /// Answer/AnswerWithPlans are the fault-tolerant forms.
   Result<OemDatabase> Execute(const MediatorPlan& plan,
                               const SourceCatalog& catalog) const;
-
-  /// Fault-tolerant Execute: fetches through `policy.wrapper` with
-  /// retry/backoff on the virtual clock and appends per-attempt outcomes
-  /// to \p report (which may be null). Fails with the last source failure
-  /// when retries are exhausted.
-  Result<OemDatabase> Execute(const MediatorPlan& plan,
-                              const SourceCatalog& catalog,
-                              const ExecutionPolicy& policy,
-                              ExecutionReport* report) const;
 
   /// Plan + fault-tolerant execution with failover (the paper's Fig. 2
   /// loop hardened):
@@ -272,19 +263,35 @@ class Mediator {
   const AnalysisReport& analysis() const { return analysis_; }
 
  private:
-  /// Shared state of one fault-tolerant execution.
-  struct ExecContext {
-    Wrapper* wrapper;
-    VirtualClock* clock;
-    DeterministicRng* rng;
-    const RetryPolicy* retry;
-    uint64_t deadline_ticks;  ///< absolute per-query deadline; 0 = none
-    ExecutionReport* report;
+  /// One Execute/Answer/AnswerWithPlans call: the policy, defaults for what
+  /// it leaves null, the execution report, and the effective deadline (the
+  /// earlier of the retry budget and the admission deadline).
+  struct Frame {
+    Frame(const Mediator& mediator, const ExecutionPolicy& policy,
+          const std::string& answer_name);
+    Frame(const Frame&) = delete;  // wrapper/clock may point inside
+
+    /// The modeled "now" of this execution: the raw clock minus the ticks
+    /// where a hedged backup ran concurrently with its primary. The clock
+    /// is monotonic and shared (fault SlowBy advances it), so overlapping
+    /// work is sequentialized on it and the overlap subtracted back out
+    /// here; all deadline math, plan-search stop hooks included, uses this.
+    uint64_t Now() const;
+    /// True when the effective deadline has passed.
+    bool Expired() const;
+
+    const ExecutionPolicy& policy;
+    CatalogWrapper catalog_wrapper;
+    VirtualClock local_clock;
+    Wrapper* wrapper;  ///< policy.wrapper, or catalog_wrapper
+    VirtualClock* clock;  ///< policy.clock, or local_clock
+    DeterministicRng rng;
+    ExecutionReport report;
     std::string answer_name;
-    Tracer* tracer = nullptr;          ///< may be null
-    MetricRegistry* metrics = nullptr; ///< may be null
-    ResilienceRegistry* resilience = nullptr;  ///< may be null
-    bool degrade_on_deadline = true;
+    uint64_t deadline_ticks;  ///< absolute; 0 = none
+    bool degrade_on_deadline;
+    /// Options for the plan searches of this call (strict per the policy).
+    RewriteOptions search;
   };
 
   Mediator(std::vector<SourceDescription> sources,
@@ -307,46 +314,31 @@ class Mediator {
   std::vector<std::string> SourcesOfViews(
       const std::set<std::string>& views) const;
 
+  /// The options of every plan search (Plan, Answer, the re-plan, \S7):
+  /// constraints, the catalog index, totality, and a should_stop hook at
+  /// \p deadline_ticks (0 = none) on \p clock less \p report's hedge
+  /// overlap (null = none).
+  RewriteOptions SearchOptions(size_t parallelism, Tracer* tracer,
+                               MetricRegistry* metrics,
+                               const VirtualClock* clock,
+                               uint64_t deadline_ticks,
+                               const ExecutionReport* report) const;
+
+  /// PlanOverViews over every view under a `mediator.plan_search` span.
+  Result<MediatorPlanSet> Plan(const TslQuery& query,
+                               const RewriteOptions& options) const;
+
   /// The planning pipeline over an explicit view set (used both for the
   /// initial plan list and for re-planning over live views).
   Result<MediatorPlanSet> PlanOverViews(const TslQuery& query,
                                         const std::vector<TslQuery>& views,
                                         const RewriteOptions& options) const;
 
-  /// PlanOverViews over every view under a `mediator.plan_search` span.
-  Result<MediatorPlanSet> SearchPlans(const TslQuery& query,
-                                      const RewriteOptions& options) const;
-
-  /// Rewrite options for Answer-path plan searches: constraints, strict
-  /// limits, and a should_stop hook wired to \p deadline_ticks on \p clock
-  /// (0 = no deadline). \p clock must outlive the returned options.
-  RewriteOptions PlanningOptions(const ExecutionPolicy& policy,
-                                 const VirtualClock* clock,
-                                 uint64_t deadline_ticks) const;
-
-  /// The modeled "now" of this execution: the raw clock minus the ticks
-  /// where a hedged backup ran concurrently with its primary. The clock is
-  /// monotonic and shared (fault SlowBy advances it), so overlapping work
-  /// is sequentialized on it and the overlap subtracted back out here; all
-  /// deadline math uses this.
-  static uint64_t EffectiveNow(const ExecContext& ctx);
-  /// True when the effective per-request deadline has passed.
-  static bool QueryDeadlineExceeded(const ExecContext& ctx);
-  /// One Execute/AnswerWithPlans call: defaults for what the policy leaves
-  /// null, and the context over them (its deadline is the earlier of the
-  /// retry budget and the admission deadline). The context points inside.
-  struct ExecFrame {
-    ExecFrame(const ExecutionPolicy& policy, ExecutionReport* report,
-              const std::string& answer_name);
-    ExecFrame(const ExecFrame&) = delete;
-    ExecFrame& operator=(const ExecFrame&) = delete;
-
-    CatalogWrapper catalog_wrapper;
-    VirtualClock local_clock;
-    DeterministicRng rng;
-    ExecutionReport local_report;
-    ExecContext ctx;
-  };
+  /// AnswerWithPlans in \p frame (Answer plans in the same frame).
+  Result<DegradedAnswer> AnswerInFrame(const TslQuery& query,
+                                       const MediatorPlanSet& plans,
+                                       const SourceCatalog& catalog,
+                                       Frame& frame) const;
 
   /// One view fetch with retry/backoff/deadlines, circuit-breaker
   /// admission, and at most one hedged backup fetch; appends attempts to
@@ -354,32 +346,38 @@ class Mediator {
   /// error, or an open breaker short-circuited the endpoint).
   Result<WrapperResult> FetchWithRetry(const Capability& capability,
                                        const SourceCatalog& catalog,
-                                       const ExecContext& ctx) const;
+                                       Frame& frame) const;
 
-  struct PlanExecution {
-    OemDatabase answer;
-    bool any_truncated = false;
-  };
+  struct FetchedViews;  // the replies, and whether any feed was truncated
+  /// The one fetch loop (plans and \S7 unions): fetches each of \p views
+  /// not in \p dead. A retryable failure adds the view to \p dead (past
+  /// the deadline with degrade_on_deadline off it aborts instead). A plan
+  /// needs every view, so given \p died the first dead view ends the loop
+  /// with its failure and is named there; a \S7 union carries on.
+  Result<FetchedViews> FetchViews(const std::vector<std::string>& views,
+                                  const SourceCatalog& catalog, Frame& frame,
+                                  std::set<std::string>* dead,
+                                  std::string* died) const;
+
   /// Compiles \p rules to the IR (under a `plan.compile` span) and runs
   /// them over the fetched \p view_results (under `plan.exec_ir`): the one
   /// execution engine for plans and degraded rule sets alike.
   static Result<OemDatabase> ExecuteRules(const TslRuleSet& rules,
                                           const SourceCatalog& view_results,
-                                          const ExecContext& ctx);
+                                          const Frame& frame);
 
-  /// Fetches every view of \p plan and evaluates the rewriting. On failure
-  /// \p failed_view names the capability view that could not be reached
-  /// (empty for non-source errors).
-  Result<PlanExecution> RunPlan(const MediatorPlan& plan,
-                                const SourceCatalog& catalog,
-                                const ExecContext& ctx,
-                                std::string* failed_view) const;
+  /// FetchViews over \p plan, then the rewriting over the replies: a
+  /// kComplete answer, or kPartial when a feed was truncated.
+  Result<DegradedAnswer> RunPlan(const MediatorPlan& plan,
+                                 const SourceCatalog& catalog, Frame& frame,
+                                 std::set<std::string>* dead,
+                                 std::string* died) const;
 
   /// The \S7 fallback: union of maximally-contained rewritings over the
   /// capability views not in \p dead (a set of view names).
   Result<DegradedAnswer> DegradedFallback(const TslQuery& query,
                                           const SourceCatalog& catalog,
-                                          const ExecContext& ctx,
+                                          Frame& frame,
                                           std::set<std::string> dead,
                                           ExecutionReport report) const;
 

@@ -7,6 +7,7 @@
 #include "fixtures.h"
 #include "mediator/fault.h"
 #include "mediator/mediator.h"
+#include "mediator/resilience.h"
 #include "mediator/retry.h"
 #include "mediator/wrapper.h"
 #include "rewrite/rewriter.h"
@@ -457,6 +458,76 @@ TEST(FaultToleranceTest, SlowSourceWithinDeadlinesStillAnswers) {
   EXPECT_TRUE(answer->complete());
   EXPECT_EQ(answer->report.finished_at_ticks, 3u)
       << answer->report.ToString();
+}
+
+TEST(FaultToleranceTest, ReplanAfterHedgedFetchUsesTheEffectiveDeadline) {
+  // Two mirrors per source. The cached plan list holds only the A1+B1
+  // plans. A1 takes 10 ticks and is hedged to A2 after 1, so the hedge
+  // overlap credits 9 ticks back; B1 is dead, so the request must re-plan
+  // over the live views. Raw time (10) is past the 5-tick budget, but the
+  // effective time (1) is not: the re-plan has to run in full and answer
+  // completely instead of coming back truncated and degrading to \S7.
+  auto mirror = [](const std::string& source, const std::string& name) {
+    Capability cap;
+    cap.view = MustParse(
+        "<m(P') pub {<X' Y' Z'>}> :- <P' publication {<X' Y' Z'>}>@" + source,
+        name);
+    return SourceDescription{source, {cap}};
+  };
+  auto made = Mediator::Make({mirror("s1", "A1"), mirror("s1", "A2"),
+                              mirror("s2", "B1"), mirror("s2", "B2")});
+  ASSERT_TRUE(made.ok()) << made.status();
+  const Mediator& mediator = *made;
+  SourceCatalog catalog = BiblioCatalog();
+  TslQuery query = PairsQuery();
+  auto fault_free = mediator.Answer(query, catalog);
+  ASSERT_TRUE(fault_free.ok()) << fault_free.status();
+  ASSERT_FALSE(fault_free->result.roots().empty());
+
+  auto all_plans = mediator.Plan(query);
+  ASSERT_TRUE(all_plans.ok()) << all_plans.status();
+  MediatorPlanSet cached;
+  for (const MediatorPlan& plan : *all_plans) {
+    if (plan.views_used == std::vector<std::string>{"A1", "B1"}) {
+      cached.plans.push_back(plan);
+    }
+  }
+  ASSERT_FALSE(cached.empty());
+
+  ResiliencePolicy resilience_policy;
+  resilience_policy.hedge.enabled = true;
+  resilience_policy.hedge.min_samples = 100;
+  resilience_policy.hedge.default_delay_ticks = 1;
+  ResilienceRegistry resilience(resilience_policy);
+  CatalogWrapper base;
+  VirtualClock clock;
+  FaultInjector injector(&base, /*seed=*/4, &clock);
+  FaultSchedule slow;
+  slow.steady_state = Fault::SlowBy(10);
+  injector.SetSchedule("A1", slow);
+  FaultSchedule dead;
+  dead.steady_state = Fault::Unavailable();
+  injector.SetSchedule("B1", dead);
+
+  ExecutionPolicy policy;
+  policy.wrapper = &injector;
+  policy.clock = &clock;
+  policy.resilience = &resilience;
+  policy.retry.max_attempts = 1;
+  policy.retry.per_query_deadline_ticks = 5;
+  auto answer = mediator.AnswerWithPlans(query, cached, catalog, policy);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  const ExecutionReport& report = answer->report;
+  EXPECT_GT(clock.now(), 5u) << "raw time must be past the deadline";
+  EXPECT_GE(report.hedge_wins, 1u) << report.ToString();
+  EXPECT_TRUE(report.replanned) << report.ToString();
+  EXPECT_FALSE(report.plan_search_truncated) << report.ToString();
+  EXPECT_FALSE(report.deadline_degraded) << report.ToString();
+  EXPECT_LT(report.finished_at_ticks, 5u) << report.ToString();
+  EXPECT_EQ(answer->completeness, Completeness::kComplete)
+      << report.ToString();
+  EXPECT_TRUE(answer->result.Equals(fault_free->result))
+      << answer->result.ToString();
 }
 
 // --- determinism ------------------------------------------------------------

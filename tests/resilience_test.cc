@@ -16,6 +16,7 @@
 #include "mediator/resilience.h"
 #include "mediator/retry.h"
 #include "mediator/wrapper.h"
+#include "obs/metrics.h"
 #include "oem/parser.h"
 #include "tsl/parser.h"
 
@@ -261,13 +262,14 @@ TEST(HedgeDelayTest, NeverReturnsZero) {
 
 /// A one-source fixture whose only endpoint is unavailable, with a huge
 /// configured backoff: if expired deadlines did not fail fast, the clock
-/// would show the backoff sleeps.
+/// would show the backoff sleeps. \p mirrored adds an α-equivalent second
+/// endpoint, so the query has a plan to fail over to.
 struct DeadlineFixture {
   SourceCatalog catalog;
   Mediator mediator;
   TslQuery query;
 
-  static DeadlineFixture Make() {
+  static DeadlineFixture Make(bool mirrored = false) {
     auto db = ParseOemDatabase(R"(
       database db {
         <p1 publication { <t1 title "Views"> }>
@@ -282,8 +284,13 @@ struct DeadlineFixture {
     EXPECT_TRUE(query.ok()) << query.status();
     Capability capability;
     capability.view = *view;
-    auto mediator =
-        Mediator::Make({SourceDescription{"db", {capability}}});
+    std::vector<SourceDescription> sources{
+        SourceDescription{"db", {capability}}};
+    if (mirrored) {
+      capability.view.name = "DumpMirror";
+      sources.push_back(SourceDescription{"db", {capability}});
+    }
+    auto mediator = Mediator::Make(std::move(sources));
     EXPECT_TRUE(mediator.ok()) << mediator.status();
     SourceCatalog catalog;
     catalog.Put(*db);
@@ -333,6 +340,86 @@ TEST(RetryDeadlineTest, AdmissionStampedDeadlineAlreadyExpiredFailsFast) {
   ASSERT_FALSE(answer.ok());
   EXPECT_TRUE(answer.status().IsDeadlineExceeded()) << answer.status();
   EXPECT_EQ(clock.now(), 50u) << "an expired deadline must not sleep";
+}
+
+/// How a request runs out of budget: the admission deadline has passed
+/// before the plan search (which comes back truncated and empty), or
+/// before the first attempt of a cached plan list, or the second plan's
+/// fetch overruns it after the first plan failed over.
+enum class Exhaustion { kAtAdmission, kBeforeFirstAttempt, kMidFailover };
+
+TEST(RetryDeadlineTest, EveryDeadlineExitDegradesOrFailsTheSameWay) {
+  struct Case {
+    Exhaustion how;
+    bool degrade;
+    const char* error_fragment;  ///< with degrade off
+    uint64_t failovers;
+  };
+  const Case cases[] = {
+      {Exhaustion::kAtAdmission, true, "", 0},
+      {Exhaustion::kAtAdmission, false, "during plan search", 0},
+      {Exhaustion::kBeforeFirstAttempt, true, "", 0},
+      {Exhaustion::kBeforeFirstAttempt, false, "during plan failover", 0},
+      {Exhaustion::kMidFailover, true, "", 1},
+      {Exhaustion::kMidFailover, false, "per-call deadline", 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "exhaustion " << static_cast<int>(c.how) << ", degrade "
+                 << c.degrade);
+    DeadlineFixture fixture =
+        DeadlineFixture::Make(c.how == Exhaustion::kMidFailover);
+    CatalogWrapper base;
+    VirtualClock clock;
+    FaultInjector injector(&base, /*seed=*/1, &clock);
+    MetricRegistry metrics;
+    ExecutionPolicy policy;
+    policy.wrapper = &injector;
+    policy.clock = &clock;
+    policy.metrics = &metrics;
+    policy.degrade_on_deadline = c.degrade;
+    // Searched without a deadline, the plan list is not empty.
+    auto plans = fixture.mediator.Plan(fixture.query);
+    ASSERT_TRUE(plans.ok()) << plans.status();
+    ASSERT_FALSE(plans->empty());
+    if (c.how == Exhaustion::kMidFailover) {
+      // Whichever mirror goes first dies at once; the other then takes 10
+      // ticks against a 4-tick call limit and a 5-tick request budget.
+      FaultSchedule schedule;
+      schedule.scripted = {Fault::Unavailable(), Fault::SlowBy(10)};
+      injector.SetSchedule("db", schedule);
+      policy.retry.max_attempts = 1;
+      policy.retry.per_call_deadline_ticks = 4;
+      policy.retry.per_query_deadline_ticks = 5;
+    } else {
+      clock.Advance(50);
+      policy.admission_deadline_ticks = 10;
+    }
+    Result<DegradedAnswer> answer =
+        c.how == Exhaustion::kBeforeFirstAttempt
+            ? fixture.mediator.AnswerWithPlans(fixture.query, *plans,
+                                               fixture.catalog, policy)
+            : fixture.mediator.Answer(fixture.query, fixture.catalog, policy);
+    EXPECT_EQ(metrics.GetCounter("mediator.failovers")->value(), c.failovers);
+    EXPECT_EQ(metrics.GetCounter("mediator.deadline_degraded")->value(),
+              c.degrade ? 1u : 0u);
+    if (!c.degrade) {
+      ASSERT_FALSE(answer.ok());
+      EXPECT_TRUE(answer.status().IsDeadlineExceeded()) << answer.status();
+      EXPECT_NE(answer.status().ToString().find(c.error_fragment),
+                std::string::npos)
+          << answer.status();
+      continue;
+    }
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_EQ(answer->completeness, Completeness::kDegraded);
+    EXPECT_TRUE(answer->report.deadline_degraded)
+        << answer->report.ToString();
+    EXPECT_TRUE(answer->result.roots().empty()) << answer->result.ToString();
+    EXPECT_EQ(answer->report.plan_search_truncated,
+              c.how == Exhaustion::kAtAdmission)
+        << answer->report.ToString();
+  }
 }
 
 }  // namespace
